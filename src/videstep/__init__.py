@@ -2,6 +2,7 @@
 integro-differential equations y' = f(x, y) + int_{x0}^{x} K(x, y(t), t) dt."""
 
 from .core import (
+    MAX_STEPS,
     Mesh,
     Method,
     StepDiagnostics,
@@ -36,15 +37,18 @@ from .errors import (
     ConfigurationWarning,
     DegenerateDenominator,
     IndexOutOfRange,
+    KernelCallMismatch,
     LengthMismatch,
     MissingExact,
     MissingJacobian,
     NoConvergence,
+    NonFiniteInitialValue,
     NonPositiveStep,
     NonTilingStep,
     SingularDenominator,
     SingularJacobian,
     StepEvaluationError,
+    TooManySteps,
     UnknownProblem,
     VidestepError,
     ZeroError,
@@ -67,6 +71,7 @@ from .steppers import (
     history_sum,
     implicit_step,
     integrate,
+    seeded_steps,
 )
 from .test_problems import (
     PROBLEM_IDS,

@@ -19,12 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonPositiveStep, NonTilingStep
+from .errors import IndexOutOfRange, NonPositiveStep, NonTilingStep, TooManySteps
 
 __all__ = [
     "VideProblem",
     "Mesh",
     "make_mesh",
+    "MAX_STEPS",
+    "check_step_count",
     "Method",
     "StepDiagnostics",
     "Trajectory",
@@ -32,6 +34,11 @@ __all__ = [
 
 # Relative tolerance for deciding whether h tiles [x0, xf] exactly.
 TILING_TOL = 1e-9
+
+# Largest number of steps a mesh may have. A run allocates a few float
+# arrays of n_steps + 1 entries (80 MB each at the cap) and takes one
+# Python-level step per node, so larger meshes are refused up front.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,12 @@ class VideProblem:
     exact : callable, optional
         Analytic solution x -> y(x) when one is known; must satisfy
         exact(x0) = y0.
+    kernel_depends_on_x : bool, default True
+        Whether K depends on its outer abscissa x. This states a property
+        of the equation: when it is False the solvers evaluate K once per
+        node and keep a running sum of the trapezium row, so a run costs
+        O(n_steps) kernel evaluations instead of O(n_steps**2). Declaring
+        False for a kernel that does depend on x gives wrong answers.
     """
 
     f: Callable[[float, float], float]
@@ -64,6 +77,7 @@ class VideProblem:
     f_y: Callable[[float, float], float] | None = None
     kernel_y: Callable[[float, float, float], float] | None = None
     exact: Callable[[float], float] | None = None
+    kernel_depends_on_x: bool = True
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,12 @@ class Mesh:
         return self.x0 + self.h * np.arange(self.n_steps + 1)
 
 
+def check_step_count(n_steps: int) -> None:
+    """Raise TooManySteps when a mesh has more than MAX_STEPS steps."""
+    if n_steps > MAX_STEPS:
+        raise TooManySteps(f"{n_steps} steps exceed the cap of {MAX_STEPS}")
+
+
 def make_mesh(x0: float, xf: float, h: float) -> Mesh:
     """Build a uniform mesh, checking that h tiles [x0, xf] into whole steps.
 
@@ -98,12 +118,15 @@ def make_mesh(x0: float, xf: float, h: float) -> Mesh:
     NonTilingStep
         If (xf - x0)/h is not a whole number to within a relative
         tolerance of 1e-9.
+    TooManySteps
+        If the mesh would have more than MAX_STEPS steps.
     """
     if h <= 0.0:
         raise NonPositiveStep(f"step size must be positive, got h={h}")
     if xf <= x0:
         raise NonPositiveStep(f"interval must satisfy xf > x0, got [{x0}, {xf}]")
     n_steps = int(round((xf - x0) / h))
+    check_step_count(n_steps)
     if n_steps < 1 or abs(x0 + n_steps * h - xf) > TILING_TOL * max(1.0, abs(xf)):
         raise NonTilingStep(
             f"h={h} does not tile [{x0}, {xf}]: {(xf - x0) / h} steps is not whole"

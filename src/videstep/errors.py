@@ -6,8 +6,11 @@ __all__ = [
     "VidestepError",
     "NonPositiveStep",
     "NonTilingStep",
+    "TooManySteps",
+    "NonFiniteInitialValue",
     "IndexOutOfRange",
     "StepEvaluationError",
+    "KernelCallMismatch",
     "NoConvergence",
     "SingularJacobian",
     "SingularDenominator",
@@ -33,12 +36,25 @@ class NonTilingStep(VidestepError):
     """Step size does not tile the interval [x0, xf] into whole steps."""
 
 
+class TooManySteps(VidestepError):
+    """The mesh has more steps than the stated cap allows."""
+
+
+class NonFiniteInitialValue(VidestepError):
+    """The initial value y0 is infinite or NaN."""
+
+
 class IndexOutOfRange(VidestepError):
     """Node index outside 0..n for this mesh."""
 
 
 class StepEvaluationError(VidestepError):
     """A user-supplied callback (f, K, or a jacobian) failed or returned non-finite."""
+
+
+class KernelCallMismatch(VidestepError):
+    """A kernel's output for a history row disagrees with its node-by-node values,
+    as happens when it reduces over its array argument."""
 
 
 class NoConvergence(VidestepError):

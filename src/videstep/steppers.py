@@ -31,6 +31,27 @@ or by fixed-point iteration (the same update with denominator 1). The
 unknown u carries net trapezium weight h**2/2: its endpoint correction
 subtracts half of its interior weight. The history part of R is constant
 during the solve and is computed once per step.
+
+Both schemes need the sum of a kernel row K(x_m, w_j, x_j), j <= l, with
+its first and last entries; ``_trapezium`` turns those into S. How a run
+obtains the row depends on what the problem declares:
+
+- ``kernel_depends_on_x=False``: the row at outer node m+1 is the row at
+  m plus one entry, so ``integrate`` keeps the running sum
+  P_i = sum_{j<=i} K(x_j, w_j, x_j) and evaluates K once per node, O(n)
+  per run. On the implicit path the new entry is the kernel value of the
+  last residual evaluation, at the accepted u.
+- otherwise (the default, and the only correct path for kernels that
+  depend on x): each step evaluates one full row at its outer node,
+  O(n**2) per run. The implicit predictor reuses the previous step's row
+  at x_i, completed by the kernel value of that step's last residual
+  evaluation.
+
+A full row is one vector call when the kernel takes arrays and one scalar
+call per node when it does not. A run decides which once: the first
+vector row with two distinct history values is compared with scalar
+calls at a few nodes, so that a kernel reducing over its array argument
+(say ``np.max(y)``) is rejected instead of being broadcast to a wrong row.
 """
 
 from __future__ import annotations
@@ -41,11 +62,21 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mesh, Method, StepDiagnostics, Trajectory, VideProblem
+from .core import (
+    Mesh,
+    Method,
+    StepDiagnostics,
+    Trajectory,
+    VideProblem,
+    check_step_count,
+)
 from .errors import (
     IndexOutOfRange,
+    KernelCallMismatch,
+    LengthMismatch,
     MissingJacobian,
     NoConvergence,
+    NonFiniteInitialValue,
     SingularJacobian,
     StepEvaluationError,
     VidestepError,
@@ -58,6 +89,7 @@ __all__ = [
     "explicit_step",
     "implicit_step",
     "integrate",
+    "seeded_steps",
     "OVERFLOW_CUTOFF",
 ]
 
@@ -66,6 +98,13 @@ OVERFLOW_CUTOFF = 1e300
 
 # Newton denominators smaller than this are treated as singular.
 JACOBIAN_FLOOR = 1e-14
+
+# Relative agreement required between a vector kernel row and scalar calls
+# of the same kernel; both evaluate the same formula, so they differ by a
+# few ulps at most.
+KERNEL_FORM_RTOL = 1e-12
+
+_EXPLICIT_DIAGNOSTICS = StepDiagnostics(iterations=0, last_residual=0.0)
 
 
 class SolveStrategy(str, Enum):
@@ -95,35 +134,113 @@ class ImplicitSolveConfig:
             raise ValueError("require rel_tol > 0, abs_tol > 0, max_iterations >= 1")
 
 
-def _call(fn, *args) -> float:
-    """Evaluate a user callback at scalar arguments, normalising failures."""
+def _evaluate(fn, *args) -> float:
+    """Evaluate a user callback at scalar arguments. A failure becomes a
+    StepEvaluationError; a non-finite result is returned as it is."""
     try:
-        value = float(fn(*args))
+        return float(fn(*args))
     except VidestepError:
         raise
     except Exception as exc:
         raise StepEvaluationError(f"callback failed at {args}") from exc
+
+
+def _call(fn, *args) -> float:
+    """Evaluate a user callback at scalar arguments, normalising failures."""
+    value = _evaluate(fn, *args)
     if not math.isfinite(value):
         raise StepEvaluationError(f"callback returned non-finite value at {args}")
     return value
 
 
+def _trapezium(h: float, total: float, first: float, last: float) -> float:
+    """(h**2/2) * (2*total - first - last): the memory term S of a kernel
+    row whose entries sum to ``total``. With last = 0.0 the final entry
+    keeps its interior weight, as in the known part of the implicit step."""
+    return 0.5 * h * h * (2.0 * total - first - last)
+
+
+class _KernelForm:
+    """Whether one run's kernel takes history rows as arrays.
+
+    ``vector`` is None while undecided, True once a vector row with two
+    distinct history values has matched scalar calls, and False once a
+    vector call has failed; rows are then built node by node.
+    """
+
+    __slots__ = ("vector",)
+
+    def __init__(self):
+        self.vector = None
+
+
+def _agree(a: float, b: float) -> bool:
+    """Whether a vector and a scalar kernel value agree (NaN agrees with NaN)."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return True
+    return (math.isfinite(a) and math.isfinite(b)
+            and abs(a - b) <= KERNEL_FORM_RTOL * max(abs(a), abs(b)))
+
+
+def _check_vector_row(problem: VideProblem, x_outer: float, values: np.ndarray,
+                      nodes: np.ndarray, row: np.ndarray, form: _KernelForm) -> None:
+    """Compare a vector kernel row with scalar calls at its first, last,
+    smallest-value and largest-value nodes; decide the form once the
+    history holds two distinct values. A kernel that reduces over its
+    array argument returns one value for the whole row, which in general
+    differs from the scalar call at the smallest or the largest value."""
+    lo, hi = int(np.argmin(values)), int(np.argmax(values))
+    for j in sorted({0, lo, hi, values.size - 1}):
+        scalar = _evaluate(problem.kernel, x_outer, values[j], nodes[j])
+        if not _agree(float(row[j]), scalar):
+            raise KernelCallMismatch(
+                f"kernel called on a history row gives {float(row[j])!r} at node {j}, "
+                f"called on that node alone {scalar!r} (x={x_outer}); "
+                "the kernel must act elementwise on array arguments")
+    if values[lo] != values[hi]:
+        form.vector = True
+
+
 def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
-                nodes: np.ndarray) -> np.ndarray:
-    """Evaluate K(x_outer, values[j], nodes[j]) for all j, vectorised when possible."""
-    try:
-        row = np.asarray(problem.kernel(x_outer, values, nodes), dtype=float)
-        if row.shape != values.shape:
-            row = np.broadcast_to(row, values.shape)
-    except (TypeError, ValueError):
-        # Kernel written for scalars only; fall back to a per-node loop.
-        row = np.array([_call(problem.kernel, x_outer, values[j], nodes[j])
-                        for j in range(values.size)])
-    except VidestepError:
-        raise
-    except Exception as exc:
-        raise StepEvaluationError(f"kernel failed at x={x_outer}") from exc
-    return row
+                nodes: np.ndarray, form: _KernelForm | None = None) -> np.ndarray:
+    """Evaluate K(x_outer, values[j], nodes[j]) for all j, vectorised when possible.
+
+    ``form`` carries the call form across the rows of one run (see
+    _KernelForm); without it the form is decided afresh for this row.
+
+    Raises
+    ------
+    KernelCallMismatch
+        The vector row disagrees with scalar calls of the kernel.
+    """
+    if form is None:
+        form = _KernelForm()
+    if form.vector is not False:
+        try:
+            row = np.asarray(problem.kernel(x_outer, values, nodes), dtype=float)
+            if row.shape != values.shape:
+                row = np.broadcast_to(row, values.shape)
+        except (TypeError, ValueError):
+            # Kernel written for scalars only; build rows node by node.
+            form.vector = False
+        except VidestepError:
+            raise
+        except Exception as exc:
+            raise StepEvaluationError(f"kernel failed at x={x_outer}") from exc
+        else:
+            if form.vector is None:
+                _check_vector_row(problem, x_outer, values, nodes, row, form)
+            return row
+    return np.array([_call(problem.kernel, x_outer, values[j], nodes[j])
+                     for j in range(values.size)])
+
+
+def _row_sums(problem: VideProblem, x_outer: float, values: np.ndarray,
+              nodes: np.ndarray, form: _KernelForm | None = None,
+              ) -> tuple[float, float, float]:
+    """Sum, first entry and last entry of the kernel row at x_outer."""
+    row = _kernel_row(problem, x_outer, values, nodes, form)
+    return float(np.sum(row)), float(row[0]), float(row[-1])
 
 
 def history_sum(problem: VideProblem, values, mesh: Mesh,
@@ -150,11 +267,9 @@ def history_sum(problem: VideProblem, values, mesh: Mesh,
         )
     if last_index == 0:
         return 0.0
-    x_outer = mesh.node(outer_index)
     nodes = mesh.x0 + mesh.h * np.arange(last_index + 1)
-    row = _kernel_row(problem, x_outer, values[: last_index + 1], nodes)
-    total = 2.0 * float(np.sum(row)) - float(row[0]) - float(row[last_index])
-    return 0.5 * mesh.h * mesh.h * total
+    return _trapezium(mesh.h, *_row_sums(problem, mesh.node(outer_index),
+                                         values[: last_index + 1], nodes))
 
 
 def explicit_step(problem: VideProblem, values, mesh: Mesh, i: int) -> float:
@@ -163,6 +278,38 @@ def explicit_step(problem: VideProblem, values, mesh: Mesh, i: int) -> float:
     w_i = float(np.asarray(values)[i])
     return (w_i + mesh.h * _call(problem.f, x_i, w_i)
             + history_sum(problem, values, mesh, outer_index=i, last_index=i))
+
+
+def _solve(problem: VideProblem, x_next: float, known: float, u: float,
+           h: float, cfg: ImplicitSolveConfig,
+           ) -> tuple[float, float, StepDiagnostics]:
+    """Solve the implicit step equation at x_next, starting from u.
+
+    ``known`` is w_i plus the history part of the memory term. Returns the
+    accepted u, the kernel value K(x_next, u, x_next) of the residual
+    evaluation that accepted it, and the solve diagnostics. Raises as
+    implicit_step does.
+    """
+    newton = cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS
+    if newton and (problem.f_y is None or problem.kernel_y is None):
+        raise MissingJacobian("Newton strategy requires f_y and kernel_y")
+    for k in range(1, cfg.max_iterations + 1):
+        f_u = _call(problem.f, x_next, u)
+        k_u = _call(problem.kernel, x_next, u, x_next)
+        r = u - known - h * f_u - 0.5 * h * h * k_u
+        if abs(r) <= cfg.abs_tol + cfg.rel_tol * abs(u):
+            return u, k_u, StepDiagnostics(iterations=k, last_residual=abs(r))
+        if k == cfg.max_iterations:
+            raise NoConvergence(iterations=k, last_residual=abs(r))
+        if newton:
+            d = (1.0 - h * _call(problem.f_y, x_next, u)
+                 - 0.5 * h * h * _call(problem.kernel_y, x_next, u, x_next))
+            if abs(d) < JACOBIAN_FLOOR:
+                raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
+            u = u - r / d
+        else:
+            u = u - r
+    raise AssertionError("unreachable")
 
 
 def implicit_step(problem: VideProblem, values, mesh: Mesh, i: int,
@@ -185,50 +332,29 @@ def implicit_step(problem: VideProblem, values, mesh: Mesh, i: int,
     """
     if cfg is None:
         cfg = ImplicitSolveConfig()
-    newton = cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS
-    if newton and (problem.f_y is None or problem.kernel_y is None):
-        raise MissingJacobian("Newton strategy requires f_y and kernel_y")
-
     values = np.asarray(values, dtype=float)
     h = mesh.h
     x_next = mesh.node(i + 1)
-
     # Known part of the residual: w_i plus the kernel contribution of the
-    # already-computed history, all evaluated at outer node i+1. Constant
-    # during the solve.
+    # already-computed history, all evaluated at outer node i+1.
     nodes = mesh.x0 + h * np.arange(i + 1)
-    row = _kernel_row(problem, x_next, values[: i + 1], nodes)
-    known = float(values[i]) + 0.5 * h * h * (2.0 * float(np.sum(row)) - float(row[0]))
-
-    def residual(u: float) -> float:
-        return (u - known - h * _call(problem.f, x_next, u)
-                - 0.5 * h * h * _call(problem.kernel, x_next, u, x_next))
-
-    u = explicit_step(problem, values, mesh, i)
-    for k in range(1, cfg.max_iterations + 1):
-        r = residual(u)
-        if abs(r) <= cfg.abs_tol + cfg.rel_tol * abs(u):
-            return u, StepDiagnostics(iterations=k, last_residual=abs(r))
-        if k == cfg.max_iterations:
-            raise NoConvergence(iterations=k, last_residual=abs(r))
-        if newton:
-            d = (1.0 - h * _call(problem.f_y, x_next, u)
-                 - 0.5 * h * h * _call(problem.kernel_y, x_next, u, x_next))
-            if abs(d) < JACOBIAN_FLOOR:
-                raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
-            u = u - r / d
-        else:
-            u = u - r
-    raise AssertionError("unreachable")
+    total, first, _ = _row_sums(problem, x_next, values[: i + 1], nodes)
+    known = float(values[i]) + _trapezium(h, total, first, 0.0)
+    u, _, diagnostics = _solve(problem, x_next, known,
+                               explicit_step(problem, values, mesh, i), h, cfg)
+    return u, diagnostics
 
 
 def integrate(problem: VideProblem, mesh: Mesh, method: Method,
               cfg: ImplicitSolveConfig | None = None) -> Trajectory:
     """Run a full trajectory of ``method`` over ``mesh``.
 
-    The initial node carries y0 exactly. Total kernel cost is O(n_steps**2)
-    because the outer abscissa changes every step, invalidating any cached
-    kernel values; each step therefore re-evaluates its full history row.
+    The initial node carries y0 exactly. When the problem declares
+    ``kernel_depends_on_x=False`` the memory term is a running sum and
+    each step costs one kernel evaluation, O(n_steps) in total. Otherwise
+    the outer abscissa changes every step, invalidating any cached kernel
+    values, so each step evaluates one full history row and the total
+    kernel cost is O(n_steps**2).
 
     If a computed node exceeds 1e300 in magnitude (or is non-finite) the
     run stops there: the returned arrays are truncated after the offending
@@ -236,22 +362,65 @@ def integrate(problem: VideProblem, mesh: Mesh, method: Method,
     with recorded growth instead of spreading non-finite values.
     Exceptions raised inside a step gain a ``step_index`` attribute
     identifying the node being computed.
+
+    Raises
+    ------
+    TooManySteps
+        The mesh has more than MAX_STEPS steps; checked before allocating.
+    NonFiniteInitialValue
+        y0 is infinite or NaN.
     """
+    check_step_count(mesh.n_steps)
+    if not math.isfinite(problem.y0):
+        raise NonFiniteInitialValue(f"y0 must be finite, got {problem.y0}")
     if cfg is None:
         cfg = ImplicitSolveConfig()
+    h = mesh.h
+    nodes = mesh.nodes()
     w = np.empty(mesh.n_steps + 1)
     w[0] = problem.y0
+    running = not problem.kernel_depends_on_x
+    implicit = method == Method.IMPLICIT
+    form = _KernelForm()
+    # Sum, first and last entry of the kernel row at outer node i over
+    # w_0..w_i: the memory of the explicit step from node i, and of the
+    # implicit predictor.
+    total = first = last = 0.0
     diagnostics: list[StepDiagnostics] = []
     overflow_at = None
     steps_done = mesh.n_steps
     for i in range(mesh.n_steps):
+        x_i = mesh.node(i)
+        w_i = float(w[i])
         try:
-            if method == Method.EXPLICIT:
-                w_next = explicit_step(problem, w, mesh, i)
-                diagnostics.append(StepDiagnostics(iterations=0, last_residual=0.0))
-            else:
-                w_next, diag = implicit_step(problem, w, mesh, i, cfg)
+            if running and (i == 0 or not implicit):
+                # The one new kernel value of node i (after node 0 the
+                # implicit path takes it from its last residual instead).
+                # It is taken at w[i], a NumPy float, so an overflowing
+                # kernel yields inf and the run ends through the overflow
+                # cutoff.
+                last = _evaluate(problem.kernel, x_i, w[i], x_i)
+                total += last
+                if i == 0:
+                    first = last
+            elif not (running or implicit) and i > 0:
+                total, first, last = _row_sums(problem, x_i, w[: i + 1],
+                                               nodes[: i + 1], form)
+            memory = _trapezium(h, total, first, last) if i > 0 else 0.0
+            w_next = w_i + h * _call(problem.f, x_i, w_i) + memory
+            if implicit:
+                x_next = mesh.node(i + 1)
+                if running:
+                    row_total, row_first = total, first
+                else:
+                    row_total, row_first, _ = _row_sums(problem, x_next, w[: i + 1],
+                                                        nodes[: i + 1], form)
+                known = w_i + _trapezium(h, row_total, row_first, 0.0)
+                w_next, last, diag = _solve(problem, x_next, known, w_next, h, cfg)
+                total, first = row_total + last, row_first
                 diagnostics.append(diag)
+            else:
+                diagnostics.append(_EXPLICIT_DIAGNOSTICS)
         except VidestepError as exc:
             exc.step_index = i + 1
             raise
@@ -267,3 +436,68 @@ def integrate(problem: VideProblem, mesh: Mesh, method: Method,
         step_diagnostics=diagnostics,
         overflow_at=overflow_at,
     )
+
+
+def seeded_steps(problem: VideProblem, mesh: Mesh, method: Method, values,
+                 cfg: ImplicitSolveConfig | None = None) -> np.ndarray:
+    """One step of ``method`` from every prefix of a given history.
+
+    Entry i+1 is the value the method computes for node i+1 from
+    values[0..i], solving the step equation on the implicit path; entry 0
+    is values[0]. With ``kernel_depends_on_x=False`` the kernel is
+    evaluated once over all of ``values`` and each step's row sum is a
+    cumulative sum, O(n_steps) in all; otherwise each step evaluates one
+    row, O(n_steps**2).
+
+    Raises
+    ------
+    TooManySteps
+        The mesh has more than MAX_STEPS steps.
+    LengthMismatch
+        ``values`` does not hold one entry per mesh node.
+    """
+    check_step_count(mesh.n_steps)
+    if cfg is None:
+        cfg = ImplicitSolveConfig()
+    values = np.asarray(values, dtype=float)
+    if values.size != mesh.n_steps + 1:
+        raise LengthMismatch(f"{values.size} values for {mesh.n_steps + 1} nodes")
+    h = mesh.h
+    nodes = mesh.nodes()
+    running = not problem.kernel_depends_on_x
+    implicit = method == Method.IMPLICIT
+    form = _KernelForm()
+    if running:
+        # K ignores x, so one row holds every entry K(., v_j, x_j).
+        row = _kernel_row(problem, mesh.x0, values, nodes, form)
+        totals = np.cumsum(row)
+    # Kernel row at outer node i over values[0..i], as in integrate.
+    total = first = last = 0.0
+    out = np.empty(mesh.n_steps + 1)
+    out[0] = values[0]
+    for i in range(mesh.n_steps):
+        x_i = mesh.node(i)
+        v_i = float(values[i])
+        if running:
+            total, first, last = float(totals[i]), float(row[0]), float(row[i])
+        elif not implicit and i > 0:
+            total, first, last = _row_sums(problem, x_i, values[: i + 1],
+                                           nodes[: i + 1], form)
+        memory = _trapezium(h, total, first, last) if i > 0 else 0.0
+        predicted = v_i + h * _call(problem.f, x_i, v_i) + memory
+        if implicit:
+            x_next = mesh.node(i + 1)
+            if running:
+                row_total, row_first = total, first
+            else:
+                # The row at x_{i+1} over values[0..i+1]: all but its last
+                # entry form this step's known part, all of it the next
+                # step's predictor memory.
+                ext = _kernel_row(problem, x_next, values[: i + 2], nodes[: i + 2], form)
+                row_total, row_first = float(np.sum(ext[:-1])), float(ext[0])
+                last = float(ext[-1])
+                total, first = row_total + last, row_first
+            known = v_i + _trapezium(h, row_total, row_first, 0.0)
+            predicted, _, _ = _solve(problem, x_next, known, predicted, h, cfg)
+        out[i + 1] = predicted
+    return out

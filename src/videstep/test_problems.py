@@ -24,7 +24,9 @@ isolating one stepping code path:
     constant-kernel  y' = int 1 dt,          f = 0,   exact y0 + x**2/2
     cubic-kernel     y' = -y - int y(t)**3,  nonlinear, no closed form
 
-All built-ins start at x0 = 0.
+All built-ins start at x0 = 0, and none of their kernels depends on the
+outer abscissa x, so each declares ``kernel_depends_on_x=False`` and runs
+with the O(n) running-sum memory term.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ def test_equation(params: TestEquationParams) -> VideProblem:
         f_y=lambda x, y: lam,
         kernel_y=lambda x, y, t: gamma,
         exact=test_equation_exact(params),
+        kernel_depends_on_x=False,
     )
 
 
@@ -108,6 +111,7 @@ def pure_ode(y0: float = 1.0) -> VideProblem:
         f_y=lambda x, y: -1.0,
         kernel_y=lambda x, y, t: 0.0,
         exact=lambda x: y0 * np.exp(-x),
+        kernel_depends_on_x=False,
     )
 
 
@@ -120,6 +124,7 @@ def constant_kernel(y0: float = 1.0) -> VideProblem:
         f_y=lambda x, y: 0.0,
         kernel_y=lambda x, y, t: 0.0,
         exact=lambda x: y0 + 0.5 * x * x,
+        kernel_depends_on_x=False,
     )
 
 
@@ -132,6 +137,7 @@ def cubic_kernel(y0: float = 1.0) -> VideProblem:
         f_y=lambda x, y: -1.0,
         kernel_y=lambda x, y, t: -3.0 * y * y,
         exact=None,
+        kernel_depends_on_x=False,
     )
 
 

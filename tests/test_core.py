@@ -1,17 +1,23 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from videstep import (
+    MAX_STEPS,
     IndexOutOfRange,
     Mesh,
     Method,
     NonPositiveStep,
     NonTilingStep,
     StepDiagnostics,
+    TooManySteps,
     VideProblem,
+    direct_local_errors,
+    integrate,
     make_mesh,
+    pure_ode,
 )
 
 
@@ -55,6 +61,29 @@ def test_make_mesh_rejects_nontiling_step():
 def test_make_mesh_rejects_step_larger_than_interval():
     with pytest.raises(NonTilingStep):
         make_mesh(0.0, 1.0, 3.0)
+
+
+def test_make_mesh_caps_step_count():
+    assert make_mesh(0.0, 1.0, 1.0 / MAX_STEPS).n_steps == MAX_STEPS
+    with pytest.raises(TooManySteps):
+        make_mesh(0.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda mesh: integrate(pure_ode(), mesh, Method.EXPLICIT),
+    lambda mesh: direct_local_errors(pure_ode(), mesh, Method.IMPLICIT),
+], ids=["integrate", "direct_local_errors"])
+def test_directly_built_mesh_is_capped_before_allocating(run):
+    # 1e12 steps would need 8 TB per array; the cap must trip first
+    mesh = Mesh(x0=0.0, xf=1.0, h=1e-12, n_steps=10**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManySteps):
+            run(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_nodes_are_multiplicative_not_cumulative():

@@ -12,11 +12,13 @@ from videstep import (
     DegenerateDenominator,
     ErrorReport,
     ErrorSource,
+    ImplicitSolveConfig,
     LengthMismatch,
     Method,
     MissingExact,
     SignCase,
     SingularDenominator,
+    SolveStrategy,
     TestEquationParams,
     Trajectory,
     VideProblem,
@@ -452,6 +454,25 @@ def test_direct_local_errors_implicit_closed_form():
     h = mesh.h
     expected = np.exp(-mesh.nodes()[:-1]) * (1.0 / (1.0 + h) - math.exp(-h))
     np.testing.assert_allclose(eps[1:], expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("strategy", list(SolveStrategy))
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("problem", [
+    test_equation(TestEquationParams(lam=-1.0, gamma=-2.0)),
+    pure_ode(),
+    constant_kernel(),
+], ids=["test-equation", "pure-ode", "constant-kernel"])
+def test_direct_local_errors_running_sum_matches_full_row(problem, method, strategy):
+    # one cumulative-sum row against one row per step; eps = M - y cancels
+    # the O(1) step values, so the agreement is relative to max(1, |y|)
+    mesh = make_mesh(0.0, 5.0, 0.01)
+    cfg = ImplicitSolveConfig(strategy=strategy)
+    fast = direct_local_errors(problem, mesh, method, cfg)
+    slow = direct_local_errors(dataclasses.replace(problem, kernel_depends_on_x=True),
+                               mesh, method, cfg)
+    scale = np.maximum(1.0, np.abs(problem.exact(mesh.nodes())))
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
 
 
 # --- order measurement ------------------------------------------------------

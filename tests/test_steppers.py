@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 
 from videstep import (
     ImplicitSolveConfig,
+    KernelCallMismatch,
+    LengthMismatch,
     Method,
     MissingJacobian,
     NoConvergence,
+    NonFiniteInitialValue,
     OVERFLOW_CUTOFF,
     SingularJacobian,
     SolveStrategy,
@@ -17,12 +21,15 @@ from videstep import (
     TestEquationParams,
     VideProblem,
     constant_kernel,
+    cubic_kernel,
+    direct_local_errors,
     explicit_step,
     history_sum,
     implicit_step,
     integrate,
     make_mesh,
     pure_ode,
+    seeded_steps,
     test_equation,
 )
 
@@ -381,3 +388,200 @@ def test_implicit_reduces_to_backward_euler_without_kernel():
     trajectory = integrate(problem, mesh, Method.IMPLICIT)
     oracle = np.array([1.0 / (1.0 + mesh.h) ** i for i in range(mesh.n_steps + 1)])
     assert float(np.max(np.abs(trajectory.w - oracle))) <= 1e-12
+
+
+# --- running-sum memory term -------------------------------------------------
+
+
+BUILTINS = {
+    "test-equation": lambda: test_equation(TestEquationParams(lam=-1.0, gamma=-2.0)),
+    "pure-ode": pure_ode,
+    "constant-kernel": constant_kernel,
+    "cubic-kernel": lambda: cubic_kernel(y0=1.5),
+}
+
+
+@pytest.mark.parametrize("strategy", list(SolveStrategy))
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("problem_id", sorted(BUILTINS))
+def test_running_sum_matches_full_row(problem_id, method, strategy):
+    # the built-ins declare that K ignores x; the full-row path must give
+    # the same trajectory up to summation order, with the same solve cost
+    problem = BUILTINS[problem_id]()
+    assert problem.kernel_depends_on_x is False
+    full_row = dataclasses.replace(problem, kernel_depends_on_x=True)
+    mesh = make_mesh(0.0, 5.0, 0.01)
+    cfg = ImplicitSolveConfig(strategy=strategy)
+    fast = integrate(problem, mesh, method, cfg)
+    slow = integrate(full_row, mesh, method, cfg)
+    assert fast.overflow_at is None and slow.overflow_at is None
+    assert np.all(np.abs(fast.w - slow.w) <= 1e-12 * np.maximum(1.0, np.abs(slow.w)))
+    assert ([d.iterations for d in fast.step_diagnostics]
+            == [d.iterations for d in slow.step_diagnostics])
+
+
+def counting_cubic(depends_on_x):
+    """The cubic kernel problem with a counter of kernel node evaluations."""
+    count = [0]
+    problem = cubic_kernel(y0=1.5)
+
+    def kernel(x, y, t):
+        count[0] += np.size(y)
+        return -(y**3)
+
+    return dataclasses.replace(problem, kernel=kernel,
+                               kernel_depends_on_x=depends_on_x), count
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_kernel_evaluations_grow_linearly_on_running_sum(method):
+    def evaluations(depends_on_x, h):
+        problem, count = counting_cubic(depends_on_x)
+        integrate(problem, make_mesh(0.0, 2.0, h), method)
+        return count[0]
+
+    running = [evaluations(False, h) for h in (0.01, 0.005)]
+    full_row = [evaluations(True, h) for h in (0.01, 0.005)]
+    assert running[1] <= 2 * running[0]
+    assert full_row[1] >= 3.5 * full_row[0]
+
+
+# y' = -y + int x*y(t) dt: the kernel depends on the outer abscissa
+X_KERNEL = VideProblem(f=lambda x, y: -y, kernel=lambda x, y, t: x * y, y0=1.0,
+                       f_y=lambda x, y: -1.0, kernel_y=lambda x, y, t: x)
+
+
+def hand_rolled_x_kernel(h, n, implicit):
+    """y' = -y + int x*y(t) dt by the O(n**2) trapezium loop; the step
+    equation is linear in u, so the implicit step is solved in closed form."""
+    x = h * np.arange(n + 1)
+    w = np.empty(n + 1)
+    w[0] = 1.0
+    for i in range(n):
+        if implicit:
+            xn = x[i + 1]
+            known = w[i] + 0.5 * h * h * xn * (2.0 * np.sum(w[: i + 1]) - w[0])
+            w[i + 1] = known / (1.0 + h - 0.5 * h * h * xn)
+        else:
+            row = x[i] * w[: i + 1]
+            w[i + 1] = w[i] - h * w[i] + h * h * (np.sum(row) - 0.5 * row[0] - 0.5 * row[-1])
+    return w
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_x_dependent_kernel_matches_hand_rolled_trapezium(method):
+    mesh = make_mesh(0.0, 3.0, 0.01)
+    trajectory = integrate(X_KERNEL, mesh, method)
+    oracle = hand_rolled_x_kernel(mesh.h, mesh.n_steps, method == Method.IMPLICIT)
+    np.testing.assert_allclose(trajectory.w, oracle, rtol=1e-12, atol=1e-12)
+
+
+def test_diverging_builtin_truncates_without_raising():
+    # the kernel value overflows to inf in the running sum; the next node
+    # is non-finite and the run ends there instead of raising
+    problem = cubic_kernel(y0=-1e40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.01), Method.EXPLICIT)
+    assert trajectory.overflow_at == 3
+    assert trajectory.w.size == 4
+    assert len(trajectory.step_diagnostics) == 3
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_running_sum_annotates_failing_kernel(method):
+    def kernel(x, y, t):
+        if x > 0.45:
+            raise ValueError("boom")
+        return -y
+
+    problem = VideProblem(f=lambda x, y: -y, kernel=kernel, y0=1.0,
+                          kernel_depends_on_x=False, f_y=lambda x, y: -1.0,
+                          kernel_y=lambda x, y, t: -1.0)
+    with pytest.raises(StepEvaluationError) as excinfo:
+        integrate(problem, make_mesh(0.0, 1.0, 0.1), method)
+    # explicit: K at x_5 = 0.5 enters the memory of node 6; implicit: the
+    # residual of node 5 evaluates K at x_5
+    assert excinfo.value.step_index == (6 if method == Method.EXPLICIT else 5)
+
+
+@pytest.mark.parametrize("y0", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_nonfinite_initial_value(y0):
+    with pytest.raises(NonFiniteInitialValue):
+        integrate(pure_ode(y0=y0), make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
+
+
+# --- kernel call form ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_scalar_only_kernel_fails_one_vector_call_per_run(method):
+    failed = [0]
+
+    def kernel(x, y, t):
+        if np.ndim(y) > 0:
+            failed[0] += 1
+            raise TypeError("scalars only")
+        return -2.0 * float(y)
+
+    params = TestEquationParams(lam=-1.0, gamma=-2.0)
+    vector = test_equation(params)
+    scalar = dataclasses.replace(vector, kernel=kernel, kernel_depends_on_x=True)
+    mesh = make_mesh(0.0, 2.0, 0.01)
+    full_row = dataclasses.replace(vector, kernel_depends_on_x=True)
+    got = integrate(scalar, mesh, method)
+    assert failed[0] == 1
+    np.testing.assert_array_equal(got.w, integrate(full_row, mesh, method).w)
+    failed[0] = 0
+    got = direct_local_errors(scalar, mesh, method)
+    assert failed[0] == 1
+    np.testing.assert_array_equal(got, direct_local_errors(full_row, mesh, method))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_reducing_kernel_is_rejected(method):
+    # -2*max(y) broadcast over the row is not the per-node -2*y(t)
+    problem = VideProblem(f=lambda x, y: -y, kernel=lambda x, y, t: -2.0 * np.max(y),
+                          y0=1.0, f_y=lambda x, y: -1.0, kernel_y=lambda x, y, t: -2.0)
+    with pytest.raises(KernelCallMismatch):
+        integrate(problem, make_mesh(0.0, 1.0, 0.1), method)
+    with pytest.raises(KernelCallMismatch):
+        history_sum(problem, [1.0, 0.5, 0.25], make_mesh(0.0, 1.0, 0.1),
+                    outer_index=2, last_index=2)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_constant_scalar_kernel_is_accepted(method):
+    # a kernel returning one float for every node is a valid zero kernel
+    problem = VideProblem(f=lambda x, y: -y, kernel=lambda x, y, t: 0.0, y0=1.0,
+                          f_y=lambda x, y: -1.0, kernel_y=lambda x, y, t: 0.0)
+    mesh = make_mesh(0.0, 2.0, 0.05)
+    trajectory = integrate(problem, mesh, method)
+    oracle = integrate(pure_ode(y0=1.0), mesh, method)
+    np.testing.assert_allclose(trajectory.w, oracle.w, rtol=1e-14)
+
+
+# --- seeded_steps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("problem", [
+    X_KERNEL,
+    test_equation(TestEquationParams(lam=-1.0, gamma=-2.0)),
+], ids=["x-dependent", "running-sum"])
+def test_seeded_steps_match_single_steps(problem, method):
+    # the per-prefix steppers are the reference; only summation order differs
+    mesh = make_mesh(0.0, 1.0, 0.05)
+    values = np.cos(mesh.nodes()) + 1.0
+    got = seeded_steps(problem, mesh, method, values)
+    for i in range(mesh.n_steps):
+        if method == Method.EXPLICIT:
+            expected = explicit_step(problem, values, mesh, i)
+        else:
+            expected, _ = implicit_step(problem, values, mesh, i)
+        assert abs(got[i + 1] - expected) <= 1e-12 * max(1.0, abs(expected))
+    assert got[0] == values[0]
+
+
+def test_seeded_steps_need_one_value_per_node():
+    with pytest.raises(LengthMismatch):
+        seeded_steps(pure_ode(), make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT, np.ones(10))
