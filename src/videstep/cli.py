@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure (no convergence, or divergence without --allow-divergence).
 
 A JSON config file (--config) supplies any subset of the flags; explicit
-flags override file values, unknown keys are rejected. The metadata
+flags override file values, unknown keys are rejected, and each value is
+checked with its flag's type and choices. The metadata
 sidecar emitted next to every CSV contains a "config" mapping that
 reproduces the run, so `videstep --config out.meta.json` reruns it.
 Relative output paths land in $VIDESTEP_OUT_DIR when that is set.
@@ -23,16 +24,16 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .core import Method, make_mesh
 from .error_analysis import (
+    ErrorSource,
     auto_reference,
     direct_local_errors,
-    error_bound,
-    fit_bound,
     global_errors,
     recover_local_errors,
 )
@@ -46,47 +47,32 @@ from .errors import (
     ZeroError,
 )
 from .experiments import (
-    DIVERGENCE_THRESHOLD,
     ResultTable,
+    _bound,
+    _divergence,
+    _solve_config,
     figure_spec,
     run_consistency_study,
     run_experiment,
     run_order_study,
 )
-from .steppers import ImplicitSolveConfig, SolveStrategy, integrate
+from .steppers import ImplicitSolveConfig, integrate
 from .test_problems import PROBLEM_IDS, TestEquationParams, builtin_problem
-
-COMMANDS = ("solve", "errors", "bound", "order", "local", "figure", "consistency")
 
 # Errors of arithmetic origin exit 3; everything else about how the tool
 # was invoked exits 2.
 _NUMERICAL_ERRORS = (NoConvergence, SingularJacobian, SingularDenominator,
                      DegenerateDenominator, ZeroError, StepEvaluationError)
 
+# Values of the options that neither a flag nor the config file sets, by
+# config key; the solver settings default to ImplicitSolveConfig's own.
 _DEFAULTS = {
     "problem": "test-equation",
     "x0": 0.0,
     "method": "explicit",
-    "strategy": "newton",
-    "rel_tol": 1e-12,
-    "abs_tol": 1e-14,
-    "max_iterations": 50,
     "format": "csv",
     "allow_divergence": False,
-}
-
-# Keys each command accepts in a config file (strict parsing).
-_RUN_KEYS = {"problem", "lambda", "gamma", "y0", "x0", "xf", "h", "method",
-             "strategy", "rel_tol", "abs_tol", "max_iterations", "out",
-             "format", "allow_divergence"}
-_COMMAND_KEYS = {
-    "solve": _RUN_KEYS,
-    "errors": _RUN_KEYS,
-    "bound": _RUN_KEYS,
-    "local": _RUN_KEYS,
-    "order": (_RUN_KEYS - {"xf", "h", "allow_divergence"}) | {"x_d", "h_list"},
-    "consistency": (_RUN_KEYS - {"h", "allow_divergence"}) | {"h_list"},
-    "figure": (_RUN_KEYS - {"problem", "y0"}) | {"id"},
+    **asdict(ImplicitSolveConfig()),
 }
 
 
@@ -94,7 +80,8 @@ class UsageError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the subparser of each command by name."""
     parser = argparse.ArgumentParser(
         prog="videstep",
         description="Euler-Trapezium solvers and error analysis for "
@@ -102,15 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mesh_end=True, step=True, divergence=True):
+    def add_common(p, mesh_end=True, step=True, divergence=True, problem=True):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--problem", choices=PROBLEM_IDS)
+        if problem:
+            p.add_argument("--problem", choices=PROBLEM_IDS)
         p.add_argument("--lambda", dest="lam", type=float,
                        help="test-equation coefficient of (y - 1)")
         p.add_argument("--gamma", type=float,
                        help="test-equation kernel coefficient")
-        p.add_argument("--y0", type=float,
-                       help="initial value (manufactured problems only)")
+        if problem:
+            p.add_argument("--y0", type=float,
+                           help="initial value (manufactured problems only)")
         p.add_argument("--x0", type=float)
         if mesh_end:
             p.add_argument("--xf", type=float)
@@ -148,12 +137,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated stepsizes")
 
     p = sub.add_parser("figure", help="reproduce one canned experiment (1-5)")
-    add_common(p)
+    add_common(p, problem=False)
     p.add_argument("--id", dest="id", type=int, choices=[1, 2, 3, 4, 5])
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(path: str, command: str) -> dict:
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """A command's options by config key: the flag without its dashes,
+    words joined by underscores (--rel-tol is rel_tol)."""
+    return {action.option_strings[0][2:].replace("-", "_"): action
+            for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "config")}
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object of a config file, or of a metadata sidecar's
+    "config" block."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -164,44 +163,67 @@ def _load_config(path: str, command: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     # A metadata sidecar carries its reproduction config under "config".
-    if "config" in data and isinstance(data["config"], dict):
+    if isinstance(data.get("config"), dict):
         data = data["config"]
-    allowed = _COMMAND_KEYS[command] | {"command"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
     return data
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flag values over config-file values over defaults.
+def _config_value(key: str, action: argparse.Action, value):
+    """A config-file value, checked and converted as the flag's parser
+    checks and converts the flag's text. A stepsize list may also be a
+    JSON list, as sidecars write it."""
+    given = value
+    if key == "h_list" and isinstance(value, list):
+        value = ",".join(map(str, value))
+    if action.nargs == 0:  # a switch such as --allow-divergence
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str)
+    else:
+        try:
+            value, ok = action.type(str(value)), True
+        except ValueError:
+            ok = False
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise UsageError(f"config key {key!r} has an invalid value {given!r}")
+    return value
+
+
+def _stepsizes(text: str) -> list[float]:
+    try:
+        h_list = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise UsageError(f"cannot parse h-list {text!r}")
+    if not h_list:
+        raise UsageError("--h-list needs at least one stepsize")
+    return h_list
+
+
+def _resolve(args: argparse.Namespace, options: dict) -> dict:
+    """Merge flag values over config-file values over defaults, by config key.
 
     Keys the user actually set (by flag or config file, not by default)
     are collected under the "_explicit" entry; the figure command needs
     the distinction because its per-figure defaults differ from the
     global ones.
     """
-    cfg = _load_config(args.config, command) if args.config else {}
+    cfg = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(options) - {"command"})
+    if unknown:
+        raise UsageError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     opts = {}
     explicit = set()
-    for key in _COMMAND_KEYS[command]:
-        attr = "lam" if key == "lambda" else key
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            opts[attr] = flag
-            explicit.add(attr)
-        elif key in cfg and cfg[key] is not None:
-            opts[attr] = cfg[key]
-            explicit.add(attr)
-        elif key in _DEFAULTS:
-            opts[attr] = _DEFAULTS[key]
+    for key, action in options.items():
+        value = getattr(args, action.dest)
+        if value is None and cfg.get(key) is not None:
+            value = _config_value(key, action, cfg[key])
+        if value is None:
+            value = _DEFAULTS.get(key)
         else:
-            opts[attr] = None
-    if isinstance(opts.get("h_list"), str):
-        try:
-            opts["h_list"] = [float(tok) for tok in opts["h_list"].split(",") if tok]
-        except ValueError:
-            raise UsageError(f"cannot parse h-list {opts['h_list']!r}")
+            explicit.add(key)
+        opts[key] = value
+    if opts.get("h_list") is not None:
+        opts["h_list"] = _stepsizes(opts["h_list"])
     opts["_explicit"] = explicit
     return opts
 
@@ -209,75 +231,63 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 def _require(opts: dict, *keys: str) -> None:
     missing = [k for k in keys if opts.get(k) is None]
     if missing:
-        flags = ["--" + ("lambda" if k == "lam" else k).replace("_", "-")
-                 for k in missing]
-        raise UsageError("missing required option(s): " + ", ".join(flags))
+        raise UsageError("missing required option(s): "
+                         + ", ".join("--" + k.replace("_", "-") for k in missing))
 
 
-def _problem_from(opts: dict):
+def _problem_from(opts: dict) -> dict:
+    """The problem arguments of builtin_problem and of the studies: the
+    test-equation coefficients, or the initial value of a manufactured
+    problem."""
     pid = opts["problem"]
     if pid == "test-equation":
         if opts.get("y0") is not None:
             raise UsageError("--y0 does not apply to test-equation (y0 = 2 by definition)")
-        _require(opts, "lam", "gamma")
-        params = TestEquationParams(lam=opts["lam"], gamma=opts["gamma"])
-        return builtin_problem(pid, params), params
-    if opts.get("lam") is not None or opts.get("gamma") is not None:
+        _require(opts, "lambda", "gamma")
+        return {"params": TestEquationParams(lam=opts["lambda"], gamma=opts["gamma"])}
+    if opts.get("lambda") is not None or opts.get("gamma") is not None:
         raise UsageError(f"--lambda/--gamma do not apply to {pid}")
-    y0 = opts["y0"] if opts.get("y0") is not None else 1.0
-    return builtin_problem(pid, y0=y0), None
-
-
-def _solve_config_from(opts: dict) -> ImplicitSolveConfig:
-    return ImplicitSolveConfig(
-        rel_tol=opts["rel_tol"],
-        abs_tol=opts["abs_tol"],
-        max_iterations=opts["max_iterations"],
-        strategy=SolveStrategy(opts["strategy"]),
-    )
-
-
-def _out_path(opts: dict, default_name: str) -> Path:
-    out = Path(opts["out"]) if opts.get("out") else Path(default_name)
-    base = os.environ.get("VIDESTEP_OUT_DIR")
-    if base and not out.is_absolute():
-        out = Path(base) / out
-        out.parent.mkdir(parents=True, exist_ok=True)
-    return out
+    return {} if opts.get("y0") is None else {"y0": opts["y0"]}
 
 
 def _config_mapping(command: str, opts: dict) -> dict:
     """Reproduction config recorded in the metadata sidecar."""
     out = {"command": command}
-    for key in sorted(_COMMAND_KEYS[command]):
-        attr = "lam" if key == "lambda" else key
-        value = opts.get(attr)
-        if value is None or key in ("out", "allow_divergence"):
-            continue
-        if key == "y0" and opts.get("problem") == "test-equation":
-            continue
-        out[key] = value
+    for key in sorted(k for k in opts if not k.startswith("_")):
+        if opts[key] is not None and key not in ("out", "allow_divergence"):
+            out[key] = opts[key]
     return out
 
 
-def _emit(table: ResultTable, out: Path, fmt: str) -> None:
-    for path in table.write(out, fmt):
+def _emit(table: ResultTable, opts: dict, default_name: str) -> int:
+    """Write the table to --out (default ``default_name``), under
+    $VIDESTEP_OUT_DIR when that is set and the path is relative; print the
+    paths written, and return the exit code: 3 for a diverged run without
+    --allow-divergence, else 0."""
+    out = Path(opts["out"]) if opts.get("out") else Path(default_name)
+    base = os.environ.get("VIDESTEP_OUT_DIR")
+    if base and not out.is_absolute():
+        out = Path(base) / out
+        out.parent.mkdir(parents=True, exist_ok=True)
+    for path in table.write(out, opts["format"]):
         print(path)
+    if table.metadata.get("diverged") and not opts.get("allow_divergence"):
+        print("run diverged; pass --allow-divergence to accept", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _run_command(command: str, opts: dict) -> int:
     """Shared pipeline for solve/errors/bound/local."""
     _require(opts, "xf", "h")
-    problem, _ = _problem_from(opts)
+    problem = builtin_problem(opts["problem"], **_problem_from(opts))
     mesh = make_mesh(opts["x0"], opts["xf"], opts["h"])
     method = Method(opts["method"])
-    cfg = _solve_config_from(opts)
+    cfg = _solve_config(opts)
     started = time.perf_counter()
     trajectory = integrate(problem, mesh, method, cfg)
     nodes = mesh.nodes()[: trajectory.w.size]
     index = np.arange(trajectory.w.size)
-    diverged = (trajectory.overflow_at is not None
-                or float(np.max(np.abs(trajectory.w))) > DIVERGENCE_THRESHOLD)
     metadata = {
         "command": command,
         "problem": opts["problem"],
@@ -285,8 +295,7 @@ def _run_command(command: str, opts: dict) -> int:
         "h": mesh.h,
         "x0": mesh.x0,
         "xf": mesh.xf,
-        "overflow_at": trajectory.overflow_at,
-        "diverged": diverged,
+        **_divergence(trajectory),
         "config": _config_mapping(command, opts),
     }
 
@@ -297,18 +306,15 @@ def _run_command(command: str, opts: dict) -> int:
         if problem.exact is None:
             reference = auto_reference(problem, trajectory, cfg)
         deltas = global_errors(trajectory, problem, reference)
-        metadata["source"] = ("against-exact" if reference is None
-                              else "against-reference-run")
+        metadata["source"] = (ErrorSource.AGAINST_EXACT if reference is None
+                              else ErrorSource.AGAINST_REFERENCE_RUN)
         metadata["max_abs_delta"] = float(np.max(np.abs(deltas)))
         if command == "errors":
             columns = {"i": index, "x": nodes, "w": trajectory.w,
                        "y": trajectory.w - deltas, "delta": deltas}
         elif command == "bound":
-            model, curve = fit_bound(problem, trajectory, deltas)
-            bound = error_bound(model, mesh)[: trajectory.w.size]
-            metadata.update({"L": model.L, "sign_case": model.sign_case.value,
-                             "c_tilde_max": float(np.nanmax(curve)),
-                             "c_tilde_amplitude": model.C_tilde})
+            fitted, curve, bound, _ = _bound(problem, trajectory, deltas)
+            metadata.update(fitted)
             columns = {"i": index, "x": nodes, "delta_abs": np.abs(deltas),
                        "c_curve": curve, "bound": bound}
         else:  # local
@@ -319,105 +325,69 @@ def _run_command(command: str, opts: dict) -> int:
 
     metadata["runtime_s"] = time.perf_counter() - started
     table = ResultTable(columns=columns, metadata=metadata)
-    _emit(table, _out_path(opts, f"{command}.csv"), opts["format"])
-    if diverged and not opts.get("allow_divergence"):
-        print("run diverged; pass --allow-divergence to accept", file=sys.stderr)
-        return 3
-    return 0
+    return _emit(table, opts, f"{command}.csv")
 
 
-def _cmd_order(opts: dict) -> int:
-    _require(opts, "x_d", "h_list")
-    problem_id = opts["problem"]
-    params = None
-    if problem_id == "test-equation":
-        _require(opts, "lam", "gamma")
-        params = TestEquationParams(lam=opts["lam"], gamma=opts["gamma"])
-    elif opts.get("lam") is not None or opts.get("gamma") is not None:
-        raise UsageError(f"--lambda/--gamma do not apply to {problem_id}")
-    table = run_order_study(
-        problem_id, opts["x_d"], opts["h_list"], Method(opts["method"]),
-        params=params, y0=opts["y0"] if opts.get("y0") is not None else 1.0,
-        cfg=_solve_config_from(opts), x0=opts["x0"],
-    )
-    table.metadata["config"] = _config_mapping("order", opts)
-    _emit(table, _out_path(opts, "order.csv"), opts["format"])
-    return 0
-
-
-def _cmd_consistency(opts: dict) -> int:
-    _require(opts, "xf", "h_list")
-    problem_id = opts["problem"]
-    params = None
-    if problem_id == "test-equation":
-        _require(opts, "lam", "gamma")
-        params = TestEquationParams(lam=opts["lam"], gamma=opts["gamma"])
-    elif opts.get("lam") is not None or opts.get("gamma") is not None:
-        raise UsageError(f"--lambda/--gamma do not apply to {problem_id}")
-    table = run_consistency_study(
-        problem_id, opts["h_list"], Method(opts["method"]),
-        params=params, y0=opts["y0"] if opts.get("y0") is not None else 1.0,
-        cfg=_solve_config_from(opts), x0=opts["x0"], xf=opts["xf"],
-    )
-    table.metadata["config"] = _config_mapping("consistency", opts)
-    _emit(table, _out_path(opts, "consistency.csv"), opts["format"])
-    return 0
+def _cmd_study(command: str, opts: dict) -> int:
+    """The order and consistency studies over a stepsize ladder."""
+    _require(opts, "x_d" if command == "order" else "xf", "h_list")
+    args = dict(_problem_from(opts), method=Method(opts["method"]),
+                cfg=_solve_config(opts), x0=opts["x0"])
+    if command == "order":
+        table = run_order_study(opts["problem"], opts["x_d"], opts["h_list"], **args)
+    else:
+        table = run_consistency_study(opts["problem"], opts["h_list"], xf=opts["xf"], **args)
+    table.metadata["config"] = _config_mapping(command, opts)
+    return _emit(table, opts, f"{command}.csv")
 
 
 def _cmd_figure(opts: dict) -> int:
     _require(opts, "id")
-    overrides = {key: opts[key]
-                 for key in ("lam", "gamma", "x0", "xf", "h", "method", "strategy",
-                             "rel_tol", "abs_tol", "max_iterations")
-                 if key in opts["_explicit"]}
-    spec = figure_spec(opts["id"], overrides)
-    table = run_experiment(spec)
-    _emit(table, _out_path(opts, f"fig{opts['id']}.csv"), opts["format"])
-    if table.metadata.get("diverged") and not opts.get("allow_divergence"):
-        print("run diverged; pass --allow-divergence to accept", file=sys.stderr)
-        return 3
-    return 0
+    overrides = {("lam" if key == "lambda" else key): value
+                 for key, value in opts.items()
+                 if key in opts["_explicit"]
+                 and key not in ("id", "out", "format", "allow_divergence")}
+    table = run_experiment(figure_spec(opts["id"], overrides))
+    return _emit(table, opts, f"fig{opts['id']}.csv")
+
+
+def _config_command(argv: list[str], commands) -> str | None:
+    """The command that the config file of a bare `videstep --config FILE`
+    names, or None when argv has no --config."""
+    bare = argparse.ArgumentParser(prog="videstep", add_help=False)
+    bare.add_argument("--config")
+    path = bare.parse_known_args(argv)[0].config
+    if path is None:
+        return None
+    command = _read_config(path).get("command")
+    if not (isinstance(command, str) and command in commands):
+        raise UsageError(f"config file {path} names no valid command")
+    return command
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Bare `videstep --config file` takes its command from the file.
-    if argv and not any(tok in COMMANDS for tok in argv):
-        if "--config" in argv:
-            try:
-                path = argv[argv.index("--config") + 1]
-            except IndexError:
-                print("--config needs a file path", file=sys.stderr)
-                return 2
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-                if isinstance(data, dict) and isinstance(data.get("config"), dict):
-                    data = data["config"]
-                command = data.get("command") if isinstance(data, dict) else None
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"cannot read config file {path}: {exc}", file=sys.stderr)
-                return 2
-            if command not in COMMANDS:
-                print(f"config file {path} names no valid command", file=sys.stderr)
-                return 2
-            argv.insert(0, command)
-
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
+    parser, subparsers = _build_parser()
+    command = None
     try:
-        opts = _resolve(args, command)
-        if command in ("solve", "errors", "bound", "local"):
-            return _run_command(command, opts)
-        if command == "order":
-            return _cmd_order(opts)
-        if command == "consistency":
-            return _cmd_consistency(opts)
-        return _cmd_figure(opts)
+        # Bare `videstep --config file` takes its command from the file; a
+        # command, when given, comes first.
+        if argv and argv[0] not in subparsers:
+            found = _config_command(argv, subparsers)
+            if found is not None:
+                argv.insert(0, found)
+        args = parser.parse_args(argv)
+        command = args.command
+        opts = _resolve(args, _options(subparsers[command]))
+        if command in ("order", "consistency"):
+            return _cmd_study(command, opts)
+        if command == "figure":
+            return _cmd_figure(opts)
+        return _run_command(command, opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"run `videstep {command} --help` for options", file=sys.stderr)
+        if command is not None:
+            print(f"run `videstep {command} --help` for options", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         step = getattr(exc, "step_index", None)

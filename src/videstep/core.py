@@ -26,7 +26,6 @@ __all__ = [
     "Mesh",
     "make_mesh",
     "MAX_STEPS",
-    "check_step_count",
     "Method",
     "StepDiagnostics",
     "Trajectory",

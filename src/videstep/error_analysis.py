@@ -37,12 +37,16 @@ f_y + (h/2)*K_y when that is positive somewhere and minus the maximum
 magnitude when it is negative everywhere; for the implicit method the
 same logic is applied to (f_y + (3h/2)*K_y)/(1 - h*f_y - (h**2/2)*K_y).
 For strongly negative L the envelope plateaus at |C_tilde*h/L|. The
-amplitude is estimated empirically from a run via
+amplitude is estimated empirically from a run via the signed curve
 
-    |C_tilde_i*h/L| = |Delta_i| / |exp((x_i - x0)*L) - 1|,
+    C_tilde_i*h/L = Delta_i / (exp((x_i - x0)*L) - 1)   if L != 0,
+    C_tilde_i     = Delta_i / ((x_i - x0)*h)             if L = 0,
 
-whose running maximum makes the bound dominate the observed errors at
+whose largest magnitude makes the bound dominate the observed errors at
 every estimated node by construction.
+
+Every formula above that involves the jacobians is evaluated from one
+array evaluation of f_y and K_y over the nodes of the run.
 """
 
 from __future__ import annotations
@@ -64,22 +68,17 @@ from .errors import (
     SingularDenominator,
     ZeroError,
 )
-from .steppers import ImplicitSolveConfig, integrate, seeded_steps
+from .steppers import ImplicitSolveConfig, _check_vector_call, integrate, seeded_steps
 
 __all__ = [
     "ErrorSource",
-    "ErrorReport",
     "SignCase",
     "BoundModel",
     "global_errors",
     "auto_reference",
-    "propagation_coefficient_explicit",
-    "propagation_coefficient_implicit",
     "propagation_coefficients",
     "growth_rate_L",
-    "estimate_C_tilde",
-    "estimate_C_tilde_zero",
-    "signed_c_curve",
+    "amplitude_curve",
     "fit_bound",
     "error_bound",
     "recover_local_errors",
@@ -91,7 +90,8 @@ __all__ = [
 ]
 
 # |L| at or below this selects the Zero bound branch; below rounding noise
-# the geometric-sum formula is numerically meaningless.
+# the geometric-sum formula is numerically meaningless. Propagation
+# denominators at or below it in magnitude are singular.
 ZERO_L_TOL = 1e-14
 
 # Nodes whose estimation denominator |exp((x-x0)L) - 1| falls below this
@@ -109,23 +109,6 @@ class ErrorSource(str, Enum):
 
     AGAINST_EXACT = "against-exact"
     AGAINST_REFERENCE_RUN = "against-reference-run"
-
-
-@dataclass
-class ErrorReport:
-    """Per-node error data for one run.
-
-    ``deltas`` are the signed global errors, ``local_errors`` the signed
-    local errors (recovered or directly measured), ``alphas`` the
-    propagation coefficients. All arrays follow the trajectory's node
-    indexing; the implicit coefficient pairs node i with node i+1, so its
-    final entry is NaN.
-    """
-
-    deltas: np.ndarray
-    local_errors: np.ndarray
-    alphas: np.ndarray
-    source: ErrorSource
 
 
 class SignCase(str, Enum):
@@ -152,14 +135,23 @@ class BoundModel:
     h: float
 
 
-def _eval_on_nodes(fn, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function on all nodes, vectorised when possible."""
+def _eval_on_nodes(fn, name: str, *args: np.ndarray) -> np.ndarray:
+    """Evaluate ``fn`` elementwise over equal-length arrays of node data.
+
+    A function that takes arrays is called once, and its output is
+    checked against scalar calls as kernel rows are, so that one reducing
+    over its array argument raises KernelCallMismatch; a constant return
+    value is broadcast. A function that takes scalars only is called once
+    per node.
+    """
+    shape = args[0].shape
     try:
-        out = np.asarray(fn(nodes), dtype=float)
-        if out.shape != nodes.shape:
-            out = np.broadcast_to(out, nodes.shape)
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape)
     except (TypeError, ValueError):
-        out = np.array([float(fn(x)) for x in nodes])
+        return np.array([float(fn(*point)) for point in zip(*args)])
+    _check_vector_call(fn, name, args, out)
     return out
 
 
@@ -182,7 +174,7 @@ def global_errors(trajectory: Trajectory, problem: VideProblem,
     w = trajectory.w
     nodes = trajectory.mesh.nodes()[: w.size]
     if problem.exact is not None:
-        return w - _eval_on_nodes(problem.exact, nodes)
+        return w - _eval_on_nodes(problem.exact, "exact", nodes)
     if reference is None:
         raise MissingExact("problem has no exact solution and no reference run given")
     rmesh = reference.mesh
@@ -207,56 +199,52 @@ def auto_reference(problem: VideProblem, trajectory: Trajectory,
     return integrate(problem, fine, trajectory.method, cfg)
 
 
-def _require_jacobians(problem: VideProblem) -> None:
+def _jacobians(problem: VideProblem, trajectory: Trajectory):
+    """The nodes of a run; f_y(x_i, w_i) and K_y(x_i, w_i, x_i) there, one
+    evaluation each; and D_i = 1 - h*f_y - (h**2/2)*K_y at the same nodes."""
     if problem.f_y is None or problem.kernel_y is None:
         raise MissingJacobian("operation requires f_y and kernel_y")
+    w = trajectory.w
+    h = trajectory.mesh.h
+    nodes = trajectory.mesh.nodes()[: w.size]
+    fy = _eval_on_nodes(problem.f_y, "f_y", nodes, w)
+    ky = _eval_on_nodes(problem.kernel_y, "kernel_y", nodes, w, nodes)
+    return nodes, fy, ky, 1.0 - h * fy - 0.5 * h * h * ky
 
 
-def propagation_coefficient_explicit(problem: VideProblem, x: float,
-                                     y_at: float, h: float) -> float:
-    """Explicit amplification factor alpha = 1 + h*f_y + (h**2/2)*K_y at (x, y_at)."""
-    _require_jacobians(problem)
-    return (1.0 + h * problem.f_y(x, y_at)
-            + 0.5 * h * h * problem.kernel_y(x, y_at, x))
+def _nonsingular(den: np.ndarray, nodes: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(np.abs(den) <= ZERO_L_TOL)
+    if bad.size:
+        i = bad[0]
+        raise SingularDenominator(f"{what} denominator {den[i]:.3e} at x={nodes[i]}")
 
 
-def propagation_coefficient_implicit(problem: VideProblem, x_i: float,
-                                     x_next: float, y_i: float, y_next: float,
-                                     h: float) -> float:
-    """Implicit amplification factor pairing node i with node i+1:
-
-    (1 + h**2*K_y(x_i, y_i, x_i)) /
-    (1 - h*f_y(x_next, y_next) - (h**2/2)*K_y(x_next, y_next, x_next)).
-    """
-    _require_jacobians(problem)
-    num = 1.0 + h * h * problem.kernel_y(x_i, y_i, x_i)
-    den = (1.0 - h * problem.f_y(x_next, y_next)
-           - 0.5 * h * h * problem.kernel_y(x_next, y_next, x_next))
-    if abs(den) <= ZERO_L_TOL:
-        raise SingularDenominator(f"propagation denominator {den:.3e} at x={x_next}")
-    return num / den
+def _coefficients(trajectory: Trajectory, nodes, fy, ky, den) -> np.ndarray:
+    h = trajectory.mesh.h
+    if trajectory.method == Method.EXPLICIT:
+        return 1.0 + h * fy + 0.5 * h * h * ky
+    _nonsingular(den[1:], nodes[1:], "propagation")
+    alphas = np.full(ky.size, np.nan)
+    alphas[:-1] = (1.0 + h * h * ky[:-1]) / den[1:]
+    return alphas
 
 
 def propagation_coefficients(problem: VideProblem,
                              trajectory: Trajectory) -> np.ndarray:
     """Per-node amplification factors along a run.
 
-    Explicit runs fill every node; implicit runs pair node i with i+1 and
-    leave the final entry NaN.
+    Explicit: alpha_i = 1 + h*f_y + (h**2/2)*K_y at node i, for every
+    node. Implicit: aalpha_i = (1 + h**2*K_y at node i) / D_{i+1}, pairing
+    node i with i+1, so the final entry is NaN.
+
+    Raises
+    ------
+    MissingJacobian
+        The problem has no f_y or no kernel_y.
+    SingularDenominator
+        Some implicit D_{i+1} is at or below 1e-14 in magnitude.
     """
-    _require_jacobians(problem)
-    w = trajectory.w
-    h = trajectory.mesh.h
-    nodes = trajectory.mesh.nodes()[: w.size]
-    alphas = np.full(w.size, np.nan)
-    if trajectory.method == Method.EXPLICIT:
-        for i in range(w.size):
-            alphas[i] = propagation_coefficient_explicit(problem, nodes[i], w[i], h)
-    else:
-        for i in range(w.size - 1):
-            alphas[i] = propagation_coefficient_implicit(
-                problem, nodes[i], nodes[i + 1], w[i], w[i + 1], h)
-    return alphas
+    return _coefficients(trajectory, *_jacobians(problem, trajectory))
 
 
 def growth_rate_L(problem: VideProblem, trajectory: Trajectory,
@@ -270,22 +258,13 @@ def growth_rate_L(problem: VideProblem, trajectory: Trajectory,
     constant-coefficient formula on problems with constant jacobians and
     is a documented heuristic otherwise.
     """
-    _require_jacobians(problem)
-    w = trajectory.w
+    nodes, fy, ky, den = _jacobians(problem, trajectory)
     h = trajectory.mesh.h
-    nodes = trajectory.mesh.nodes()[: w.size]
-    g = np.empty(w.size)
-    for i in range(w.size):
-        fy = problem.f_y(nodes[i], w[i])
-        ky = problem.kernel_y(nodes[i], w[i], nodes[i])
-        if method == Method.EXPLICIT:
-            g[i] = fy + 0.5 * h * ky
-        else:
-            den = 1.0 - h * fy - 0.5 * h * h * ky
-            if abs(den) <= ZERO_L_TOL:
-                raise SingularDenominator(
-                    f"growth-rate denominator {den:.3e} at x={nodes[i]}")
-            g[i] = (fy + 1.5 * h * ky) / den
+    if method == Method.EXPLICIT:
+        g = fy + 0.5 * h * ky
+    else:
+        _nonsingular(den, nodes, "growth-rate")
+        g = (fy + 1.5 * h * ky) / den
     g_max = float(np.max(g))
     g_abs_max = float(np.max(np.abs(g)))
     if g_max > ZERO_L_TOL:
@@ -295,54 +274,34 @@ def growth_rate_L(problem: VideProblem, trajectory: Trajectory,
     return -g_abs_max
 
 
-def estimate_C_tilde(deltas, L: float, mesh: Mesh) -> tuple[np.ndarray, float]:
-    """Empirical bound-amplitude curve |C_tilde_i*h/L| and its running maximum.
+def amplitude_curve(deltas, L: float, mesh: Mesh) -> np.ndarray:
+    """Signed per-node amplitude curve of the global bound.
 
-    Per node, |Delta_i| / |exp((x_i - x0)*L) - 1|, skipping node 0 and any
-    node whose denominator is below 1e-12 (those entries are NaN in the
-    returned curve).
+    For L != 0, C_tilde_i*h/L = Delta_i / (exp((x_i - x0)*L) - 1), NaN
+    where the denominator's magnitude is at or below 1e-12 (node 0
+    always). For L == 0, the Zero case, C_tilde_i = Delta_i /
+    ((x_i - x0)*h), NaN at node 0. The curve crosses zero exactly where
+    the global error does; fit_bound estimates the amplitude from its
+    absolute value.
 
     Raises
     ------
     DegenerateDenominator
-        Every node is excluded (as happens when L = 0; use
-        estimate_C_tilde_zero there).
+        Every node is excluded, as when 0 < |L| is too small for any
+        node's denominator to clear 1e-12.
     """
     deltas = np.asarray(deltas, dtype=float)
-    xs = mesh.nodes()[: deltas.size]
-    den = np.abs(np.expm1(L * (xs - mesh.x0)))
-    mask = den > DENOMINATOR_FLOOR
+    xs = mesh.nodes()[: deltas.size] - mesh.x0
+    if L == 0.0:
+        den = xs * mesh.h
+        mask = den > 0.0
+    else:
+        den = np.expm1(L * xs)
+        mask = np.abs(den) > DENOMINATOR_FLOOR
     if not mask.any():
         raise DegenerateDenominator(
-            "no node has |exp((x-x0)L) - 1| above 1e-12; Zero-case bound applies")
+            f"no node to estimate the amplitude from (L = {L:.3g})")
     curve = np.full(deltas.size, np.nan)
-    curve[mask] = np.abs(deltas[mask]) / den[mask]
-    return curve, float(np.max(curve[mask]))
-
-
-def estimate_C_tilde_zero(deltas, mesh: Mesh) -> tuple[np.ndarray, float]:
-    """Zero-case analogue of estimate_C_tilde: |C_tilde_i| = |Delta_i| / ((x_i - x0)*h),
-    skipping node 0, plus the running maximum."""
-    deltas = np.asarray(deltas, dtype=float)
-    xs = mesh.nodes()[: deltas.size]
-    den = (xs - mesh.x0) * mesh.h
-    mask = den > 0.0
-    if not mask.any():
-        raise DegenerateDenominator("no node with x > x0 to estimate from")
-    curve = np.full(deltas.size, np.nan)
-    curve[mask] = np.abs(deltas[mask]) / den[mask]
-    return curve, float(np.max(curve[mask]))
-
-
-def signed_c_curve(deltas, L: float, mesh: Mesh) -> np.ndarray:
-    """Signed per-node curve C_tilde_i*h/L = Delta_i / (exp((x_i - x0)*L) - 1),
-    NaN where the denominator is below 1e-12. Crosses zero exactly where
-    the global error does."""
-    deltas = np.asarray(deltas, dtype=float)
-    xs = mesh.nodes()[: deltas.size]
-    den = np.expm1(L * (xs - mesh.x0))
-    curve = np.full(deltas.size, np.nan)
-    mask = np.abs(den) > DENOMINATOR_FLOOR
     curve[mask] = deltas[mask] / den[mask]
     return curve
 
@@ -351,20 +310,22 @@ def fit_bound(problem: VideProblem, trajectory: Trajectory, deltas,
               method: Method | None = None) -> tuple[BoundModel, np.ndarray]:
     """Fit the three-case bound to a run: growth rate, amplitude, branch.
 
-    Returns the model together with the per-node estimation curve
-    (|C_tilde_i*h/L|, or |C_tilde_i| in the Zero case). Warns with
-    ConfigurationWarning when the Negative branch's stepsize condition
-    1 + h*L > 0 fails, in which case the bound is reported but not
-    meaningful.
+    Returns the model together with the per-node estimation curve, the
+    absolute value of amplitude_curve (|C_tilde_i*h/L|, or |C_tilde_i| in
+    the Zero case). Warns with ConfigurationWarning when the Negative
+    branch's stepsize condition 1 + h*L > 0 fails, in which case the
+    bound is reported but not meaningful.
     """
     if method is None:
         method = trajectory.method
     L = growth_rate_L(problem, trajectory, method)
     h = trajectory.mesh.h
     if abs(L) <= ZERO_L_TOL:
-        curve, c_max = estimate_C_tilde_zero(deltas, trajectory.mesh)
+        L = 0.0
+    curve = np.abs(amplitude_curve(deltas, L, trajectory.mesh))
+    c_max = float(np.nanmax(curve))
+    if L == 0.0:
         return BoundModel(L=0.0, C_tilde=c_max, sign_case=SignCase.ZERO, h=h), curve
-    curve, c_max = estimate_C_tilde(deltas, L, trajectory.mesh)
     if L > 0.0:
         case = SignCase.POSITIVE
     else:
@@ -393,19 +354,6 @@ def error_bound(model: BoundModel, mesh: Mesh) -> np.ndarray:
     return np.abs(model.C_tilde * model.h / model.L * np.expm1(model.L * (xs - mesh.x0)))
 
 
-def _memory_moments(problem: VideProblem, nodes: np.ndarray, w: np.ndarray,
-                    deltas: np.ndarray) -> np.ndarray:
-    """Prefix sums s_i = sum_{j=1}^{i-1} Delta_j*K_y(x_j, w_j, x_j) for all i."""
-    q = np.zeros(w.size)
-    for j in range(1, w.size):
-        q[j] = deltas[j] * problem.kernel_y(nodes[j], w[j], nodes[j])
-    s = np.zeros(w.size)
-    # s[i] accumulates q[1..i-1]
-    for i in range(2, w.size):
-        s[i] = s[i - 1] + q[i - 1]
-    return s
-
-
 def recover_local_errors(deltas, problem: VideProblem,
                          trajectory: Trajectory) -> np.ndarray:
     """Run the propagation recurrence backwards: local errors from global ones.
@@ -416,24 +364,24 @@ def recover_local_errors(deltas, problem: VideProblem,
     Exact on problems linear in y; jacobians are evaluated at computed
     values otherwise. Entry 0 is 0.
     """
-    _require_jacobians(problem)
+    nodes, fy, ky, den = _jacobians(problem, trajectory)
     deltas = np.asarray(deltas, dtype=float)
     w = trajectory.w
     if deltas.size != w.size:
         raise LengthMismatch(f"{deltas.size} deltas for {w.size} nodes")
-    mesh = trajectory.mesh
-    h = mesh.h
-    nodes = mesh.nodes()[: w.size]
-    s = _memory_moments(problem, nodes, w, deltas)
-    alphas = propagation_coefficients(problem, trajectory)
+    h = trajectory.mesh.h
+    alphas = _coefficients(trajectory, nodes, fy, ky, den)
+    # Memory moments s_i = sum_{j=1}^{i-1} Delta_j*K_y(x_j, w_j, x_j),
+    # accumulated from s_0 = s_1 = 0.
+    q = deltas * ky
+    q[0] = 0.0
+    s = np.zeros(w.size)
+    s[1:] = np.cumsum(q[:-1])
+    memory = h * h * s[:-1]
+    if trajectory.method == Method.IMPLICIT:
+        memory = memory / den[1:]
     eps = np.zeros(w.size)
-    for i in range(w.size - 1):
-        memory = h * h * s[i]
-        if trajectory.method == Method.IMPLICIT:
-            den = (1.0 - h * problem.f_y(nodes[i + 1], w[i + 1])
-                   - 0.5 * h * h * problem.kernel_y(nodes[i + 1], w[i + 1], nodes[i + 1]))
-            memory = memory / den
-        eps[i + 1] = deltas[i + 1] - alphas[i] * deltas[i] - memory
+    eps[1:] = deltas[1:] - alphas[:-1] * deltas[:-1] - memory
     return eps
 
 
@@ -468,7 +416,7 @@ def direct_local_errors(problem: VideProblem, mesh: Mesh, method: Method,
     if problem.exact is None:
         raise MissingExact("direct local errors need the exact solution")
     check_step_count(mesh.n_steps)
-    y = _eval_on_nodes(problem.exact, mesh.nodes())
+    y = _eval_on_nodes(problem.exact, "exact", mesh.nodes())
     eps = seeded_steps(problem, mesh, method, y, cfg) - y
     eps[0] = 0.0
     return eps

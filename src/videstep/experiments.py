@@ -17,9 +17,10 @@ linear test equation:
     5  lam=-1, gamma=-2, h=5e-3, explicit on [0, 5] — global errors next
        to the local errors recovered from them.
 
-The order study measures endpoint global errors across a stepsize ladder
-(expected slope 1); the consistency study measures max direct local
-errors (expected slope 2).
+The order study (run_order_study) measures endpoint global errors across
+a stepsize ladder (expected slope 1); the consistency study
+(run_consistency_study) measures max direct local errors (expected
+slope 2).
 
 Results are ResultTable objects: named columns plus a metadata dictionary
 carrying the fitted bound data and a config mapping that reproduces the
@@ -41,15 +42,14 @@ import numpy as np
 from .core import Mesh, Method, Trajectory, VideProblem, make_mesh
 from .error_analysis import (
     ErrorSource,
-    auto_reference,
-    endpoint_error,
+    amplitude_curve,
     direct_local_errors,
+    endpoint_error,
     error_bound,
     fit_bound,
     global_errors,
     pairwise_order,
     recover_local_errors,
-    signed_c_curve,
 )
 from .errors import UnknownProblem
 from .steppers import ImplicitSolveConfig, SolveStrategy, integrate
@@ -81,14 +81,6 @@ class ExperimentKind(str, Enum):
     CONSISTENCY_STUDY = "consistency-study"
 
 
-_FIGURE_KINDS = {
-    1: ExperimentKind.FIGURE1,
-    2: ExperimentKind.FIGURE2,
-    3: ExperimentKind.FIGURE3,
-    4: ExperimentKind.FIGURE4,
-    5: ExperimentKind.FIGURE5,
-}
-
 # Per-figure defaults: lam, gamma, h, x0, xf, method. Endpoints are
 # reproduction parameters: the divergent run stops at xf=2 because longer
 # runs are meaningless there, and the oscillatory run extends to xf=6 so
@@ -101,6 +93,16 @@ _FIGURE_DEFAULTS = {
     4: (-1.0, -2.0, 5e-3, 0.0, 6.0, Method.IMPLICIT),
     5: (-1.0, -2.0, 5e-3, 0.0, 5.0, Method.EXPLICIT),
 }
+_FIGURE_KINDS = {k: ExperimentKind(f"figure-{k}") for k in _FIGURE_DEFAULTS}
+_FIGURE_IDS = {kind: k for k, kind in _FIGURE_KINDS.items()}
+
+# Test-equation coefficients of a study that is given none.
+_STUDY_PARAMS = TestEquationParams(lam=-1.0, gamma=-2.0)
+
+# How each solver setting is read from an override map; settings that are
+# not overridden keep ImplicitSolveConfig's defaults.
+_SOLVER_SETTINGS = {"rel_tol": float, "abs_tol": float, "max_iterations": int,
+                    "strategy": SolveStrategy}
 
 
 @dataclass(frozen=True)
@@ -207,20 +209,41 @@ def figure_spec(figure_id: int, overrides: dict | None = None) -> ExperimentSpec
 
 
 def _solve_config(overrides: dict) -> ImplicitSolveConfig:
-    return ImplicitSolveConfig(
-        rel_tol=float(overrides.get("rel_tol", 1e-12)),
-        abs_tol=float(overrides.get("abs_tol", 1e-14)),
-        max_iterations=int(overrides.get("max_iterations", 50)),
-        strategy=SolveStrategy(overrides.get("strategy", SolveStrategy.NEWTON_WITH_JACOBIANS)),
-    )
+    return ImplicitSolveConfig(**{key: read(overrides[key])
+                                  for key, read in _SOLVER_SETTINGS.items()
+                                  if key in overrides})
 
 
-def _run_config(kind: ExperimentKind, spec: ExperimentSpec, method: Method,
+def _divergence(trajectory: Trajectory) -> dict:
+    """Metadata entries recording whether and where a run diverged."""
+    return {
+        "overflow_at": trajectory.overflow_at,
+        "diverged": (trajectory.overflow_at is not None
+                     or float(np.max(np.abs(trajectory.w))) > DIVERGENCE_THRESHOLD),
+    }
+
+
+def _bound(problem: VideProblem, trajectory: Trajectory,
+           deltas: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray, float]:
+    """The fitted bound of a run: its metadata entries, the estimation
+    curve, the bound at the emitted nodes, and the growth rate L."""
+    model, curve = fit_bound(problem, trajectory, deltas)
+    bound = error_bound(model, trajectory.mesh)[: deltas.size]
+    metadata = {
+        "L": model.L,
+        "sign_case": model.sign_case,
+        "c_tilde_max": float(np.nanmax(curve)),
+        "c_tilde_amplitude": model.C_tilde,
+    }
+    return metadata, curve, bound, model.L
+
+
+def _run_config(figure_id: int, spec: ExperimentSpec, method: Method,
                 cfg: ImplicitSolveConfig) -> dict:
     """Config mapping that reproduces this run through the CLI."""
-    figure_id = {v: k for k, v in _FIGURE_KINDS.items()}.get(kind)
-    out = {"command": "figure", "id": figure_id}
-    out.update({
+    return {
+        "command": "figure",
+        "id": figure_id,
         "lambda": spec.params.lam,
         "gamma": spec.params.gamma,
         "x0": spec.mesh.x0,
@@ -231,41 +254,25 @@ def _run_config(kind: ExperimentKind, spec: ExperimentSpec, method: Method,
         "rel_tol": cfg.rel_tol,
         "abs_tol": cfg.abs_tol,
         "max_iterations": cfg.max_iterations,
-    })
-    return out
+    }
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    """Execute one canned experiment: integrate, then the error pipeline.
+    """Execute one canned figure experiment: integrate, then the error pipeline.
 
-    The error-curve experiments emit per-node curves (see the module
-    docstring); the divergent one is expected to end in recorded
-    divergence, not failure, and emits all pre-divergence rows. Order and
-    consistency kinds dispatch to their study drivers using the given
-    mesh endpoints and overrides.
+    Emits the per-node curves of the figure (see the module docstring);
+    the divergent one is expected to end in recorded divergence, not
+    failure, and emits all pre-divergence rows. The study kinds have
+    their own drivers, run_order_study and run_consistency_study.
+
+    Raises
+    ------
+    UnknownProblem
+        ``spec.kind`` is not a figure experiment.
     """
-    if spec.kind == ExperimentKind.ORDER_STUDY:
-        return run_order_study(
-            spec.overrides.get("problem_id", "test-equation"),
-            float(spec.overrides.get("x_d", spec.mesh.xf)),
-            spec.overrides["h_list"],
-            Method(spec.overrides.get("method", Method.EXPLICIT)),
-            params=spec.params,
-            cfg=_solve_config(spec.overrides),
-            x0=spec.mesh.x0,
-        )
-    if spec.kind == ExperimentKind.CONSISTENCY_STUDY:
-        return run_consistency_study(
-            spec.overrides.get("problem_id", "test-equation"),
-            spec.overrides["h_list"],
-            Method(spec.overrides.get("method", Method.EXPLICIT)),
-            params=spec.params,
-            cfg=_solve_config(spec.overrides),
-            x0=spec.mesh.x0,
-            xf=spec.mesh.xf,
-        )
-
-    figure_id = {v: k for k, v in _FIGURE_KINDS.items()}[spec.kind]
+    figure_id = _FIGURE_IDS.get(spec.kind)
+    if figure_id is None:
+        raise UnknownProblem(f"{spec.kind.value} is not a figure experiment")
     default_method = _FIGURE_DEFAULTS[figure_id][5]
     method = Method(spec.overrides.get("method", default_method))
     cfg = _solve_config(spec.overrides)
@@ -289,31 +296,23 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "method": method,
         "source": ErrorSource.AGAINST_EXACT,
         "max_abs_delta": float(np.max(np.abs(deltas))),
-        "overflow_at": trajectory.overflow_at,
-        "diverged": (trajectory.overflow_at is not None
-                     or float(np.max(np.abs(trajectory.w))) > DIVERGENCE_THRESHOLD),
-        "config": _run_config(spec.kind, spec, method, cfg),
+        **_divergence(trajectory),
+        "config": _run_config(figure_id, spec, method, cfg),
     }
 
-    if spec.kind == ExperimentKind.FIGURE5:
+    if figure_id == 5:
         epsilon = recover_local_errors(deltas, problem, trajectory)
         columns = {"i": index, "x": nodes, "delta": deltas, "epsilon": epsilon}
         metadata["max_abs_epsilon"] = float(np.max(np.abs(epsilon)))
     else:
-        model, curve = fit_bound(problem, trajectory, deltas)
-        bound = error_bound(model, spec.mesh)[:n_emitted]
-        metadata.update({
-            "L": model.L,
-            "sign_case": model.sign_case,
-            "c_tilde_max": float(np.nanmax(curve)),
-            "c_tilde_amplitude": model.C_tilde,
-        })
-        if spec.kind == ExperimentKind.FIGURE4:
+        fitted, curve, bound, L = _bound(problem, trajectory, deltas)
+        metadata.update(fitted)
+        if figure_id == 4:
             columns = {
                 "i": index,
                 "x": nodes,
                 "delta": deltas,
-                "c_curve": signed_c_curve(deltas, model.L, spec.mesh),
+                "c_curve": amplitude_curve(deltas, L, spec.mesh),
                 "bound_plus": bound,
                 "bound_minus": -bound,
             }
@@ -330,10 +329,24 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
 
 def _study_problem(problem_id: str, params: TestEquationParams | None,
-                   y0: float) -> VideProblem:
-    if problem_id == "test-equation" and params is None:
-        params = TestEquationParams(lam=-1.0, gamma=-2.0)
-    return builtin_problem(problem_id, params, y0)
+                   y0: float) -> tuple[VideProblem, dict]:
+    """A study's problem, and the config entries that name its parameters."""
+    if problem_id == "test-equation":
+        params = params or _STUDY_PARAMS
+        return test_equation(params), {"lambda": params.lam, "gamma": params.gamma}
+    return builtin_problem(problem_id, y0=y0), {"y0": y0}
+
+
+def _ladder(h_list, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stepsizes, one error magnitude ``measure(h)`` per stepsize, and the
+    observed order between each rung and the previous one (NaN on the
+    first)."""
+    h_arr = np.asarray(list(h_list), dtype=float)
+    errors = np.array([measure(h) for h in h_arr])
+    orders = np.full(h_arr.size, np.nan)
+    for k in range(1, h_arr.size):
+        orders[k] = pairwise_order(errors[k - 1], errors[k], h_arr[k - 1], h_arr[k])
+    return h_arr, errors, orders
 
 
 def run_order_study(problem_id: str, x_d: float, h_list, method: Method,
@@ -346,15 +359,10 @@ def run_order_study(problem_id: str, x_d: float, h_list, method: Method,
     computed from the previous row (NaN on the first). Expected p is about
     1 on smooth problems.
     """
-    problem = _study_problem(problem_id, params, y0)
+    problem, named = _study_problem(problem_id, params, y0)
     started = time.perf_counter()
-    h_arr = np.asarray(list(h_list), dtype=float)
-    delta_abs = np.array([
-        abs(endpoint_error(problem, x_d, h, method, cfg, x0)) for h in h_arr
-    ])
-    p = np.full(h_arr.size, np.nan)
-    for k in range(1, h_arr.size):
-        p[k] = pairwise_order(delta_abs[k - 1], delta_abs[k], h_arr[k - 1], h_arr[k])
+    h_arr, delta_abs, p = _ladder(
+        h_list, lambda h: abs(endpoint_error(problem, x_d, h, method, cfg, x0)))
     metadata = {
         "kind": ExperimentKind.ORDER_STUDY,
         "problem": problem_id,
@@ -368,7 +376,7 @@ def run_order_study(problem_id: str, x_d: float, h_list, method: Method,
             "h_list": [float(h) for h in h_arr],
             "method": method.value,
             "x0": x0,
-            **_params_config(params, problem_id, y0),
+            **named,
         },
     }
     return ResultTable(columns={"h": h_arr, "delta_abs": delta_abs, "p": p},
@@ -386,17 +394,10 @@ def run_consistency_study(problem_id: str, h_list, method: Method,
     q from the previous row (NaN on the first). Expected q is about 2 on
     smooth problems with an exact solution.
     """
-    problem = _study_problem(problem_id, params, y0)
+    problem, named = _study_problem(problem_id, params, y0)
     started = time.perf_counter()
-    h_arr = np.asarray(list(h_list), dtype=float)
-    local_max = np.array([
-        float(np.max(np.abs(direct_local_errors(
-            problem, make_mesh(x0, xf, h), method, cfg))))
-        for h in h_arr
-    ])
-    q = np.full(h_arr.size, np.nan)
-    for k in range(1, h_arr.size):
-        q[k] = pairwise_order(local_max[k - 1], local_max[k], h_arr[k - 1], h_arr[k])
+    h_arr, local_max, q = _ladder(h_list, lambda h: float(np.max(np.abs(
+        direct_local_errors(problem, make_mesh(x0, xf, h), method, cfg)))))
     metadata = {
         "kind": ExperimentKind.CONSISTENCY_STUDY,
         "problem": problem_id,
@@ -409,16 +410,8 @@ def run_consistency_study(problem_id: str, h_list, method: Method,
             "method": method.value,
             "x0": x0,
             "xf": xf,
-            **_params_config(params, problem_id, y0),
+            **named,
         },
     }
     return ResultTable(columns={"h": h_arr, "local_max": local_max, "q": q},
                        metadata=metadata)
-
-
-def _params_config(params: TestEquationParams | None, problem_id: str,
-                   y0: float) -> dict:
-    if problem_id == "test-equation":
-        params = params or TestEquationParams(lam=-1.0, gamma=-2.0)
-        return {"lambda": params.lam, "gamma": params.gamma}
-    return {"y0": y0}

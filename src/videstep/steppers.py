@@ -99,9 +99,9 @@ OVERFLOW_CUTOFF = 1e300
 # Newton denominators smaller than this are treated as singular.
 JACOBIAN_FLOOR = 1e-14
 
-# Relative agreement required between a vector kernel row and scalar calls
-# of the same kernel; both evaluate the same formula, so they differ by a
-# few ulps at most.
+# Relative agreement required between a vector call of a callback (a
+# kernel row, say) and scalar calls of the same callback; both evaluate the
+# same formula, so they differ by a few ulps at most.
 KERNEL_FORM_RTOL = 1e-12
 
 _EXPLICIT_DIAGNOSTICS = StepDiagnostics(iterations=0, last_residual=0.0)
@@ -175,30 +175,41 @@ class _KernelForm:
 
 
 def _agree(a: float, b: float) -> bool:
-    """Whether a vector and a scalar kernel value agree (NaN agrees with NaN)."""
+    """Whether a vector and a scalar callback value agree (NaN agrees with NaN)."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return True
     return (math.isfinite(a) and math.isfinite(b)
             and abs(a - b) <= KERNEL_FORM_RTOL * max(abs(a), abs(b)))
 
 
-def _check_vector_row(problem: VideProblem, x_outer: float, values: np.ndarray,
-                      nodes: np.ndarray, row: np.ndarray, form: _KernelForm) -> None:
-    """Compare a vector kernel row with scalar calls at its first, last,
-    smallest-value and largest-value nodes; decide the form once the
-    history holds two distinct values. A kernel that reduces over its
-    array argument returns one value for the whole row, which in general
-    differs from the scalar call at the smallest or the largest value."""
-    lo, hi = int(np.argmin(values)), int(np.argmax(values))
-    for j in sorted({0, lo, hi, values.size - 1}):
-        scalar = _evaluate(problem.kernel, x_outer, values[j], nodes[j])
-        if not _agree(float(row[j]), scalar):
+def _check_vector_call(fn, name: str, args: tuple, out: np.ndarray) -> bool:
+    """Compare the output of one vector call of ``fn`` with scalar calls at
+    its first and last entries and at the smallest and largest value of
+    each array argument. A function that reduces over an array argument
+    returns one value for all entries, which in general differs from the
+    scalar call at the smallest or the largest value. Returns whether
+    every array argument holds two distinct values, so that such a
+    reduction would have shown.
+
+    Raises
+    ------
+    KernelCallMismatch
+        The vector output disagrees with a scalar call.
+    """
+    picks, spread = {0, out.size - 1}, True
+    for a in args:
+        if np.ndim(a):
+            lo, hi = int(np.argmin(a)), int(np.argmax(a))
+            picks.update((lo, hi))
+            spread = spread and a[lo] != a[hi]
+    for j in sorted(picks):
+        scalar = _evaluate(fn, *[a[j] if np.ndim(a) else a for a in args])
+        if not _agree(float(out[j]), scalar):
             raise KernelCallMismatch(
-                f"kernel called on a history row gives {float(row[j])!r} at node {j}, "
-                f"called on that node alone {scalar!r} (x={x_outer}); "
-                "the kernel must act elementwise on array arguments")
-    if values[lo] != values[hi]:
-        form.vector = True
+                f"{name} called on arrays gives {float(out[j])!r} at entry {j}, "
+                f"called on that entry alone {scalar!r}; "
+                f"{name} must act elementwise on array arguments")
+    return spread
 
 
 def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
@@ -228,8 +239,9 @@ def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
         except Exception as exc:
             raise StepEvaluationError(f"kernel failed at x={x_outer}") from exc
         else:
-            if form.vector is None:
-                _check_vector_row(problem, x_outer, values, nodes, row, form)
+            if form.vector is None and _check_vector_call(
+                    problem.kernel, "kernel", (x_outer, values, nodes), row):
+                form.vector = True
             return row
     return np.array([_call(problem.kernel, x_outer, values[j], nodes[j])
                      for j in range(values.size)])

@@ -266,3 +266,43 @@ def test_absolute_out_ignores_out_dir(tmp_path, monkeypatch):
     assert code == 0
     assert target.exists()
     assert not (tmp_path / "elsewhere").exists()
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("solve", {"problem": "pure-ode", "xf": 1.0, "h": "abc"}, "h"),
+    ("order", {"problem": "pure-ode", "x_d": 1.0, "h_list": 0.1}, "h_list"),
+    ("solve", {"problem": "pure-ode", "xf": 1.0, "h": 0.1, "method": "bogus"}, "method"),
+], ids=["h-not-a-number", "h-list-not-a-list", "method-not-a-choice"])
+def test_wrongly_typed_config_value_is_usage_error(outdir, tmp_path, capsys,
+                                                   command, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (outdir / f"{command}.csv").exists()
+
+
+def test_empty_stepsize_list_is_usage_error(outdir, tmp_path, capsys):
+    assert main(["order", "--problem", "pure-ode", "--x-d", "1",
+                 "--h-list", "", "--out", "o.csv"]) == 2
+    assert "--h-list" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"problem": "pure-ode", "xf": 1.0, "h_list": []}))
+    assert main(["consistency", "--config", str(config), "--out", "c.csv"]) == 2
+    assert not (outdir / "o.csv").exists() and not (outdir / "c.csv").exists()
+
+
+def test_bare_config_with_equals_sign(outdir):
+    assert main(["solve", "--problem", "pure-ode", "--xf", "1", "--h", "0.1",
+                 "--out", "first.csv"]) == 0
+    assert main([f"--config={outdir / 'first.meta.json'}"]) == 0
+    assert (outdir / "solve.csv").read_bytes() == (outdir / "first.csv").read_bytes()
+
+
+def test_bare_config_command_name_as_option_value(outdir):
+    # "solve" is the value of --out here, not the command; the command is
+    # the one the sidecar names
+    assert main(["bound", "--problem", "pure-ode", "--xf", "1", "--h", "0.1",
+                 "--out", "first.csv"]) == 0
+    assert main(["--config", str(outdir / "first.meta.json"), "--out", "solve"]) == 0
+    assert (outdir / "solve").read_bytes() == (outdir / "first.csv").read_bytes()

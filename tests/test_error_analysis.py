@@ -10,10 +10,10 @@ from videstep import (
     BoundModel,
     ConfigurationWarning,
     DegenerateDenominator,
-    ErrorReport,
-    ErrorSource,
     ImplicitSolveConfig,
+    KernelCallMismatch,
     LengthMismatch,
+    Mesh,
     Method,
     MissingExact,
     SignCase,
@@ -23,14 +23,13 @@ from videstep import (
     Trajectory,
     VideProblem,
     ZeroError,
+    amplitude_curve,
     auto_reference,
     constant_kernel,
     cubic_kernel,
     direct_local_errors,
     endpoint_error,
     error_bound,
-    estimate_C_tilde,
-    estimate_C_tilde_zero,
     fit_bound,
     global_errors,
     growth_rate_L,
@@ -38,13 +37,10 @@ from videstep import (
     make_mesh,
     observed_order,
     pairwise_order,
-    propagation_coefficient_explicit,
-    propagation_coefficient_implicit,
     propagation_coefficients,
     propagation_residual,
     pure_ode,
     recover_local_errors,
-    signed_c_curve,
     test_equation,
 )
 
@@ -123,41 +119,44 @@ def test_global_errors_rejects_misaligned_reference():
 # --- propagation coefficients -----------------------------------------------
 
 
+def one_step_trajectory(problem, h, w0, w1, method):
+    """A hand-built run of one step of size h from x = 0."""
+    return Trajectory(mesh=Mesh(x0=0.0, xf=h, h=h, n_steps=1),
+                      w=np.array([w0, w1]), method=method)
+
+
 def test_explicit_coefficient_worked_example(oscillatory_problem):
     # 1 + h*lam + (h**2/2)*gamma at h=0.005: 1 - 0.005 - 0.000025
-    alpha = propagation_coefficient_explicit(oscillatory_problem, 0.0, 2.0, 0.005)
-    assert alpha == pytest.approx(0.994975, rel=1e-12)
-
-
-def test_explicit_coefficient_zero_step(oscillatory_problem):
-    assert propagation_coefficient_explicit(oscillatory_problem, 0.0, 2.0, 0.0) == 1.0
+    trajectory = integrate(oscillatory_problem, make_mesh(0.0, 0.01, 0.005),
+                           Method.EXPLICIT)
+    alphas = propagation_coefficients(oscillatory_problem, trajectory)
+    assert alphas[0] == pytest.approx(0.994975, rel=1e-12)
 
 
 def test_explicit_coefficient_stiff_magnitude(stiff_params):
     # 1 - 5 - 0.25 = -4.25: |alpha| > 1 is the blow-up mechanism
     problem = test_equation(stiff_params)
-    alpha = propagation_coefficient_explicit(problem, 0.0, 2.0, 0.05)
-    assert alpha == pytest.approx(-4.25, rel=1e-12)
+    trajectory = integrate(problem, make_mesh(0.0, 0.1, 0.05), Method.EXPLICIT)
+    alphas = propagation_coefficients(problem, trajectory)
+    assert alphas[0] == pytest.approx(-4.25, rel=1e-12)
 
 
 def test_implicit_coefficient_worked_example(oscillatory_problem):
-    alpha = propagation_coefficient_implicit(oscillatory_problem,
-                                             0.0, 0.005, 2.0, 1.99, 0.005)
+    trajectory = one_step_trajectory(oscillatory_problem, 0.005, 2.0, 1.99,
+                                     Method.IMPLICIT)
+    alpha, last = propagation_coefficients(oscillatory_problem, trajectory)
     expected = (1.0 - 5e-5) / (1.0 + 0.005 + 2.5e-5)
     assert alpha == pytest.approx(expected, rel=1e-12)
     assert alpha == pytest.approx(0.994950, rel=1e-6)
-
-
-def test_implicit_coefficient_zero_step(oscillatory_problem):
-    assert propagation_coefficient_implicit(oscillatory_problem,
-                                            0.0, 0.0, 2.0, 2.0, 0.0) == 1.0
+    assert np.isnan(last)
 
 
 def test_implicit_coefficient_stiff_is_contractive(stiff_params):
     # (1 - 0.5)/(1 + 5 + 0.25) = 0.08: stable where explicit is not
     problem = test_equation(stiff_params)
-    alpha = propagation_coefficient_implicit(problem, 0.0, 0.05, 2.0, 1.0, 0.05)
-    assert alpha == pytest.approx(0.08, rel=1e-12)
+    trajectory = one_step_trajectory(problem, 0.05, 2.0, 1.0, Method.IMPLICIT)
+    alphas = propagation_coefficients(problem, trajectory)
+    assert alphas[0] == pytest.approx(0.08, rel=1e-12)
 
 
 def test_implicit_coefficient_singular_denominator():
@@ -166,8 +165,9 @@ def test_implicit_coefficient_singular_denominator():
                           kernel=lambda x, y, t: 0.0 * y, y0=1.0,
                           f_y=lambda x, y: 1.0 / h,
                           kernel_y=lambda x, y, t: 0.0)
+    trajectory = one_step_trajectory(problem, h, 1.0, 1.0, Method.IMPLICIT)
     with pytest.raises(SingularDenominator):
-        propagation_coefficient_implicit(problem, 0.0, h, 1.0, 1.0, h)
+        propagation_coefficients(problem, trajectory)
 
 
 def test_coefficients_along_trajectory(oscillatory_problem):
@@ -217,34 +217,34 @@ def test_estimate_c_tilde_synthetic():
     mesh = make_mesh(0.0, 1.0, 0.25)
     deltas = np.array([0.0, 0.1, -0.3, 0.2, 0.05])
     L = 2.0
-    curve, c_max = estimate_C_tilde(deltas, L, mesh)
+    curve = np.abs(amplitude_curve(deltas, L, mesh))
     assert np.isnan(curve[0])  # excluded 0/0 node
     expected = [abs(deltas[i]) / abs(math.exp(L * mesh.node(i)) - 1.0)
                 for i in range(1, 5)]
     np.testing.assert_allclose(curve[1:], expected, rtol=1e-12)
-    assert c_max == pytest.approx(max(expected), rel=1e-12)
+    assert np.nanmax(curve) == pytest.approx(max(expected), rel=1e-12)
 
 
 def test_estimate_c_tilde_degenerate_when_l_vanishes():
     mesh = make_mesh(0.0, 1.0, 0.25)
     with pytest.raises(DegenerateDenominator):
-        estimate_C_tilde(np.array([0.0, 0.1, 0.2, 0.1, 0.0]), 1e-20, mesh)
+        amplitude_curve(np.array([0.0, 0.1, 0.2, 0.1, 0.0]), 1e-20, mesh)
 
 
 def test_estimate_c_tilde_zero_synthetic():
     mesh = make_mesh(0.0, 1.0, 0.25)
     c = 0.7
     deltas = c * mesh.nodes() * mesh.h
-    curve, c_max = estimate_C_tilde_zero(deltas, mesh)
+    curve = amplitude_curve(deltas, 0.0, mesh)
     assert np.isnan(curve[0])
     np.testing.assert_allclose(curve[1:], c, rtol=1e-12)
-    assert c_max == pytest.approx(c, rel=1e-12)
+    assert np.nanmax(curve) == pytest.approx(c, rel=1e-12)
 
 
 def test_signed_curve_crosses_zero_with_the_error():
     mesh = make_mesh(0.0, 1.0, 0.125)
     deltas = np.array([0.0, 0.2, 0.1, -0.1, -0.3, 0.1, 0.2, -0.2, 0.1])
-    curve = signed_c_curve(deltas, -1.0, mesh)
+    curve = amplitude_curve(deltas, -1.0, mesh)
     assert np.isnan(curve[0])
     # the denominator has one sign for x > x0, so crossings coincide node-wise
     d_sign = np.sign(deltas[1:])
@@ -333,13 +333,6 @@ def test_bound_model_is_frozen():
         model.L = 1.0
 
 
-def test_error_report_holds_fields():
-    report = ErrorReport(deltas=np.zeros(3), local_errors=np.zeros(3),
-                         alphas=np.ones(3), source=ErrorSource.AGAINST_EXACT)
-    assert report.source == ErrorSource.AGAINST_EXACT
-    assert report.deltas.size == report.alphas.size == 3
-
-
 # --- local-error recovery ---------------------------------------------------
 
 
@@ -416,6 +409,94 @@ def test_recovered_locals_scale_quadratically_on_nonlinear_problem():
         eps = recover_local_errors(deltas, problem, trajectory)
         peaks.append(float(np.max(np.abs(eps))))
     assert 3.0 <= peaks[0] / peaks[1] <= 5.5
+
+
+def scalar_loop_analysis(problem, trajectory, deltas):
+    """Coefficients and recovered local errors from the propagation
+    formulas written node by node, one scalar jacobian call at a time."""
+    w, h = trajectory.w, trajectory.mesh.h
+    x = trajectory.mesh.nodes()[: w.size]
+
+    def den(i):
+        return (1.0 - h * problem.f_y(x[i], w[i])
+                - 0.5 * h * h * problem.kernel_y(x[i], w[i], x[i]))
+
+    alphas = np.full(w.size, np.nan)
+    for i in range(w.size):
+        if trajectory.method == Method.EXPLICIT:
+            alphas[i] = (1.0 + h * problem.f_y(x[i], w[i])
+                         + 0.5 * h * h * problem.kernel_y(x[i], w[i], x[i]))
+        elif i + 1 < w.size:
+            alphas[i] = (1.0 + h * h * problem.kernel_y(x[i], w[i], x[i])) / den(i + 1)
+    s = np.zeros(w.size)
+    for i in range(2, w.size):
+        s[i] = s[i - 1] + deltas[i - 1] * problem.kernel_y(x[i - 1], w[i - 1], x[i - 1])
+    eps = np.zeros(w.size)
+    for i in range(w.size - 1):
+        memory = h * h * s[i]
+        if trajectory.method == Method.IMPLICIT:
+            memory = memory / den(i + 1)
+        eps[i + 1] = deltas[i + 1] - alphas[i] * deltas[i] - memory
+    return alphas, eps
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_array_jacobians_match_scalar_loop_exactly(method):
+    # cubic kernel: K_y = -3y**2 varies along the run, so every node's
+    # coefficient and memory weight differ
+    problem = cubic_kernel(y0=1.0)
+    trajectory = integrate(problem, make_mesh(0.0, 2.0, 0.05), method)
+    deltas = global_errors(trajectory, problem, auto_reference(problem, trajectory))
+    alphas, eps = scalar_loop_analysis(problem, trajectory, deltas)
+    assert np.unique(alphas[np.isfinite(alphas)]).size > 10
+    assert np.array_equal(propagation_coefficients(problem, trajectory), alphas,
+                          equal_nan=True)
+    assert np.array_equal(recover_local_errors(deltas, problem, trajectory), eps)
+
+
+def test_reducing_exact_is_rejected():
+    # np.max over the node array would give every node the value at x_f
+    problem = VideProblem(f=lambda x, y: -y, kernel=lambda x, y, t: 0.0 * y,
+                          y0=1.0, exact=lambda x: np.exp(-np.max(x)))
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(problem, mesh, Method.EXPLICIT)
+    with pytest.raises(KernelCallMismatch):
+        global_errors(trajectory, problem)
+    with pytest.raises(KernelCallMismatch):
+        direct_local_errors(problem, mesh, Method.EXPLICIT)
+
+
+def test_reducing_kernel_y_is_rejected():
+    problem = dataclasses.replace(cubic_kernel(y0=1.0),
+                                  kernel_y=lambda x, y, t: -3.0 * np.max(y) ** 2)
+    trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
+    deltas = np.zeros(trajectory.w.size)
+    with pytest.raises(KernelCallMismatch):
+        propagation_coefficients(problem, trajectory)
+    with pytest.raises(KernelCallMismatch):
+        growth_rate_L(problem, trajectory, Method.EXPLICIT)
+    with pytest.raises(KernelCallMismatch):
+        recover_local_errors(deltas, problem, trajectory)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_constant_and_scalar_only_jacobians_are_accepted(method):
+    # a jacobian returning one constant is broadcast over the nodes; one
+    # that takes scalars only is called node by node; both give the values
+    # of the vectorised built-in
+    builtin = pure_ode(y0=1.0)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(builtin, mesh, method)
+    deltas = global_errors(trajectory, builtin)
+    expected = propagation_coefficients(builtin, trajectory)
+    scalar_only = dataclasses.replace(
+        builtin, f_y=lambda x, y: -math.exp(0.0 * y),
+        kernel_y=lambda x, y, t: 0.0 * math.exp(y))
+    for problem in (dataclasses.replace(builtin, f_y=lambda x, y: -1.0), scalar_only):
+        np.testing.assert_array_equal(propagation_coefficients(problem, trajectory),
+                                      expected)
+        np.testing.assert_array_equal(recover_local_errors(deltas, problem, trajectory),
+                                      recover_local_errors(deltas, builtin, trajectory))
 
 
 # --- direct local errors ----------------------------------------------------
