@@ -13,6 +13,7 @@ solution; the left endpoint x0 lives on the mesh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -113,18 +114,23 @@ def make_mesh(x0: float, xf: float, h: float) -> Mesh:
     Raises
     ------
     NonPositiveStep
-        If h <= 0 or xf <= x0.
+        If h is not positive and finite, or xf > x0 does not hold (NaN
+        ends included).
     NonTilingStep
-        If (xf - x0)/h is not a whole number to within a relative
-        tolerance of 1e-9.
+        If (xf - x0)/h is not finite (an infinite end, or a quotient that
+        overflows), or not a whole number to within a relative tolerance
+        of 1e-9.
     TooManySteps
         If the mesh would have more than MAX_STEPS steps.
     """
-    if h <= 0.0:
-        raise NonPositiveStep(f"step size must be positive, got h={h}")
-    if xf <= x0:
+    if not 0.0 < h < math.inf:
+        raise NonPositiveStep(f"step size must be positive and finite, got h={h}")
+    if not xf > x0:
         raise NonPositiveStep(f"interval must satisfy xf > x0, got [{x0}, {xf}]")
-    n_steps = int(round((xf - x0) / h))
+    steps = (xf - x0) / h
+    if not math.isfinite(steps):
+        raise NonTilingStep(f"h={h} does not tile [{x0}, {xf}] into finitely many steps")
+    n_steps = int(round(steps))
     check_step_count(n_steps)
     if n_steps < 1 or abs(x0 + n_steps * h - xf) > TILING_TOL * max(1.0, abs(xf)):
         raise NonTilingStep(

@@ -68,7 +68,13 @@ from .errors import (
     SingularDenominator,
     ZeroError,
 )
-from .steppers import ImplicitSolveConfig, _check_vector_call, integrate, seeded_steps
+from .steppers import (
+    ImplicitSolveConfig,
+    _check_vector_call,
+    _map_calls,
+    integrate,
+    seeded_steps,
+)
 
 __all__ = [
     "ErrorSource",
@@ -142,7 +148,8 @@ def _eval_on_nodes(fn, name: str, *args: np.ndarray) -> np.ndarray:
     checked against scalar calls as kernel rows are, so that one reducing
     over its array argument raises KernelCallMismatch; a constant return
     value is broadcast. A function that takes scalars only is called once
-    per node.
+    per node, as kernel rows are; its non-finite values are kept, and a
+    node where it raises ends in StepEvaluationError naming that node.
     """
     shape = args[0].shape
     try:
@@ -150,7 +157,7 @@ def _eval_on_nodes(fn, name: str, *args: np.ndarray) -> np.ndarray:
         if out.shape != shape:
             out = np.broadcast_to(out, shape)
     except (TypeError, ValueError):
-        return np.array([float(fn(*point)) for point in zip(*args)])
+        return _map_calls(fn, args, finite=False)
     _check_vector_call(fn, name, args, out)
     return out
 

@@ -9,6 +9,7 @@ __all__ = [
     "TooManySteps",
     "NonFiniteInitialValue",
     "IndexOutOfRange",
+    "InvalidSolveConfig",
     "StepEvaluationError",
     "KernelCallMismatch",
     "NoConvergence",
@@ -46,6 +47,12 @@ class NonFiniteInitialValue(VidestepError):
 
 class IndexOutOfRange(VidestepError):
     """Node index outside 0..n for this mesh."""
+
+
+class InvalidSolveConfig(VidestepError, ValueError):
+    """Implicit-solve settings outside their domain: a tolerance that is not
+    positive (NaN included) or an iteration cap below 1. It is also a
+    ValueError, the built-in type for an argument outside its domain."""
 
 
 class StepEvaluationError(VidestepError):

@@ -52,6 +52,11 @@ call per node when it does not. A run decides which once: the first
 vector row with two distinct history values is compared with scalar
 calls at a few nodes, so that a kernel reducing over its array argument
 (say ``np.max(y)``) is rejected instead of being broadcast to a wrong row.
+A scalar row is one C-level ``map`` of the kernel over the row, collected
+by ``np.fromiter``: one kernel call per entry and no Python frame of this
+module in between. The kernel receives x_m as a float and each w_j and
+x_j as the NumPy float element of its array; the row is then checked for
+non-finite entries as a whole.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -72,6 +78,7 @@ from .core import (
 )
 from .errors import (
     IndexOutOfRange,
+    InvalidSolveConfig,
     KernelCallMismatch,
     LengthMismatch,
     MissingJacobian,
@@ -122,6 +129,11 @@ class ImplicitSolveConfig:
     |R(u)| <= abs_tol + rel_tol*|u|. The tolerances sit far below the
     O(h**2) local error being studied so the solve contributes nothing
     visible to the error analysis.
+
+    Raises
+    ------
+    InvalidSolveConfig
+        A tolerance is not positive (NaN included), or max_iterations < 1.
     """
 
     rel_tol: float = 1e-12
@@ -130,8 +142,12 @@ class ImplicitSolveConfig:
     strategy: SolveStrategy = SolveStrategy.NEWTON_WITH_JACOBIANS
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0 or self.max_iterations < 1:
-            raise ValueError("require rel_tol > 0, abs_tol > 0, max_iterations >= 1")
+        # Written as not (x > 0) so that NaN tolerances are rejected too.
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.max_iterations >= 1):
+            raise InvalidSolveConfig(
+                "require rel_tol > 0, abs_tol > 0, max_iterations >= 1; got "
+                f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}, "
+                f"max_iterations={self.max_iterations}")
 
 
 def _evaluate(fn, *args) -> float:
@@ -151,6 +167,44 @@ def _call(fn, *args) -> float:
     if not math.isfinite(value):
         raise StepEvaluationError(f"callback returned non-finite value at {args}")
     return value
+
+
+def _map_calls(fn, args: tuple, finite: bool = True) -> np.ndarray:
+    """``fn`` at each entry of the array arguments of ``args``, scalar
+    arguments repeated, as one C-level map: no Python frame of this
+    package per entry. ``fn`` sees the array elements (NumPy floats) and
+    is called once per entry.
+
+    With ``finite`` a non-finite value is a failure. Without it the
+    values are accepted as they are; each is then converted by float(),
+    so that None raises as in _evaluate instead of reading as NaN.
+
+    Raises
+    ------
+    StepEvaluationError
+        ``fn`` raised at an entry, or returned a non-finite value there
+        with ``finite``; the message names the arguments of the first such
+        entry and the error is chained from its cause. Found by calling
+        ``fn`` entry by entry, on this failure path only.
+    """
+    n = next(a.size for a in args if np.ndim(a))
+    calls = map(fn, *[a if np.ndim(a) else repeat(a, n) for a in args])
+    try:
+        out = np.fromiter(calls if finite else map(float, calls), dtype=float, count=n)
+    except VidestepError:
+        raise
+    except Exception as exc:
+        cause = exc
+    else:
+        if not finite or np.isfinite(out).all():
+            return out
+        cause = None
+    each = _call if finite else _evaluate
+    for j in range(n):
+        each(fn, *[a[j] if np.ndim(a) else a for a in args])
+    raise StepEvaluationError(
+        "callback failed when called over a row, but not when called again "
+        "entry by entry") from cause
 
 
 def _trapezium(h: float, total: float, first: float, last: float) -> float:
@@ -243,8 +297,7 @@ def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
                     problem.kernel, "kernel", (x_outer, values, nodes), row):
                 form.vector = True
             return row
-    return np.array([_call(problem.kernel, x_outer, values[j], nodes[j])
-                     for j in range(values.size)])
+    return _map_calls(problem.kernel, (x_outer, values, nodes))
 
 
 def _row_sums(problem: VideProblem, x_outer: float, values: np.ndarray,

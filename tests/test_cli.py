@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from videstep.cli import main
+from videstep.cli import _build_parser, _options, main
+from videstep.test_problems import PROBLEM_IDS
 
 
 def read_csv(path):
@@ -306,3 +312,111 @@ def test_bare_config_command_name_as_option_value(outdir):
                  "--out", "first.csv"]) == 0
     assert main(["--config", str(outdir / "first.meta.json"), "--out", "solve"]) == 0
     assert (outdir / "solve").read_bytes() == (outdir / "first.csv").read_bytes()
+
+
+# --- fuzzed command lines ------------------------------------------------------
+
+# Flag texts the fuzzer draws from: ordinary values by option (by type for
+# an option not listed), the special values of at most two options per
+# line, and the malformed value of at most one. Ordinary values keep every
+# mesh to a few thousand steps (figure meshes included); the special ones
+# give meshes that make_mesh or the step cap refuse before allocating.
+# Huge positive iteration caps are left out: a solve that cannot converge
+# then runs that many iterations, which is slow but not a failure.
+_ORDINARY = {"x0": ["0", "-1"], "xf": ["1", "2"], "x_d": ["1", "2"],
+             "h": ["0.25", "0.1"], "lambda": ["-1", "1"], "gamma": ["-2", "0.5"],
+             "y0": ["1", "-0.5"], "rel_tol": ["1e-12"], "abs_tol": ["1e-14"],
+             float: ["0.5", "1"], int: ["2", "50"],
+             None: ["0.25,0.125", "0.5", "0.5,0.25"]}
+_SPECIAL = {float: ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e300", "-1e300", "5e-324"],
+            int: ["0", "-1", "-1000000000000000000000"],
+            None: ["0.5,nan", "inf,0.25", "0,-1", "1e300,5e-324", "-inf"]}
+_MALFORMED = ["", ",", "abc", "1.5", "0.25,,abc", "1e999999"]
+_PRESENT = [True] * 7 + [False]
+_COMMANDS = _build_parser()[1]
+
+
+@st.composite
+def _argv(draw):
+    """A command line for one command, drawn from its parser's options
+    (all but --out). Each option is present with probability 7/8. With
+    the same probability the line names a problem and leaves out the
+    options that do not apply to it (--y0 for the test equation, --lambda
+    and --gamma for the others). Half of the lines hold one malformed
+    value. So most lines get past argparse and the problem checks to the
+    numbers."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = {key: action for key, action in _options(_COMMANDS[command]).items()
+               if key != "out"}
+    special = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    malformed = draw(st.sampled_from(sorted(options))) if draw(st.booleans()) else None
+    present = {key for key in options if draw(st.sampled_from(_PRESENT))}
+    argv = [command]
+    if draw(st.sampled_from(_PRESENT)):
+        problem = draw(st.sampled_from(PROBLEM_IDS))
+        present -= {"problem", "y0"} if problem == "test-equation" else {"problem",
+                                                                       "lambda", "gamma"}
+        if "problem" in options:
+            argv.append(f"--problem={problem}")
+    for key, action in options.items():
+        if key not in present:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if key == malformed:
+            texts = _MALFORMED
+        elif action.choices is not None:
+            texts = [str(c) for c in action.choices]
+        elif key in special:
+            texts = _SPECIAL[action.type]
+        else:
+            texts = _ORDINARY.get(key) or _ORDINARY[action.type]
+        argv.append(f"{flag}={draw(st.sampled_from(texts))}")
+    return argv
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    """main's exit code for argv and what it wrote to stderr; an exception
+    other than argparse's SystemExit propagates, as a traceback would.
+    Warnings (a bound outside its stepsize condition, overflow in NumPy)
+    are not failures and are ignored."""
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_no_command_line_ends_in_a_traceback(outdir):
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(argv=_argv())
+    @example(argv=["solve", "--problem=pure-ode", "--xf=1", "--h=0.1", "--rel-tol=-1"])
+    @example(argv=["solve", "--problem=pure-ode", "--xf=1", "--h=0.1",
+                   "--max-iterations=0"])
+    @example(argv=["solve", "--problem=pure-ode", "--xf=1", "--h=nan"])
+    @example(argv=["solve", "--problem=pure-ode", "--xf=inf", "--h=0.1"])
+    def check(argv):
+        code, err = _exit_code(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+
+    check()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rel-tol", "-1"],
+    ["--max-iterations", "0"],
+    ["--rel-tol", "nan", "--method", "implicit"],
+    ["--h", "nan"],
+    ["--xf", "inf"],
+])
+def test_out_of_domain_number_is_usage_error(outdir, capsys, flags):
+    argv = ["solve", "--problem", "pure-ode", "--xf", "1", "--h", "0.1"]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")

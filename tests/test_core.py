@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,22 @@ def test_make_mesh_rejects_nonpositive_step(h):
 def test_make_mesh_rejects_empty_interval(x0, xf):
     with pytest.raises(NonPositiveStep):
         make_mesh(x0, xf, 0.1)
+
+
+@pytest.mark.parametrize("x0,xf,h,error", [
+    (0.0, 1.0, math.nan, NonPositiveStep),
+    (0.0, 1.0, math.inf, NonPositiveStep),
+    (0.0, 1.0, -math.inf, NonPositiveStep),
+    (math.nan, 1.0, 0.1, NonPositiveStep),
+    (0.0, math.nan, 0.1, NonPositiveStep),
+    (-math.inf, 1.0, 0.1, NonTilingStep),
+    (0.0, math.inf, 0.1, NonTilingStep),
+    (0.0, 1.0, 5e-324, NonTilingStep),  # (xf - x0)/h overflows
+    (-1e308, 1e308, 1.0, NonTilingStep),  # so does xf - x0
+])
+def test_make_mesh_rejects_nonfinite_input(x0, xf, h, error):
+    with pytest.raises(error):
+        make_mesh(x0, xf, h)
 
 
 def test_make_mesh_rejects_nontiling_step():

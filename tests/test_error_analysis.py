@@ -19,6 +19,7 @@ from videstep import (
     SignCase,
     SingularDenominator,
     SolveStrategy,
+    StepEvaluationError,
     TestEquationParams,
     Trajectory,
     VideProblem,
@@ -497,6 +498,52 @@ def test_constant_and_scalar_only_jacobians_are_accepted(method):
                                       expected)
         np.testing.assert_array_equal(recover_local_errors(deltas, problem, trajectory),
                                       recover_local_errors(deltas, builtin, trajectory))
+
+
+def test_scalar_only_exact_failure_names_the_node():
+    # exact is called node by node; where it raises, the error is typed,
+    # names that node and keeps the cause
+    def exact(x):
+        if x > 0.5:
+            raise ZeroDivisionError("no value here")
+        return math.exp(-x)
+
+    problem = dataclasses.replace(pure_ode(y0=1.0), exact=exact)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(problem, mesh, Method.EXPLICIT)
+    with pytest.raises(StepEvaluationError) as excinfo:
+        global_errors(trajectory, problem)
+    assert str(excinfo.value) == f"callback failed at {(mesh.nodes()[6],)}"
+    assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+    with pytest.raises(StepEvaluationError):
+        direct_local_errors(problem, mesh, Method.IMPLICIT)
+
+
+def test_scalar_only_exact_keeps_nonfinite_values_and_rejects_none():
+    # a non-finite exact value is kept as it is; None is not a number
+    def exact(x):
+        return math.nan if x > 0.5 else math.exp(-x)
+
+    problem = dataclasses.replace(pure_ode(y0=1.0), exact=exact)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(problem, mesh, Method.EXPLICIT)
+    deltas = global_errors(trajectory, problem)
+    assert np.all(np.isnan(deltas[6:])) and np.all(np.isfinite(deltas[:6]))
+    nothing = dataclasses.replace(problem, exact=lambda x: None if x > 0.5 else math.exp(-x))
+    with pytest.raises(StepEvaluationError) as excinfo:
+        global_errors(trajectory, nothing)
+    assert isinstance(excinfo.value.__cause__, TypeError)
+
+
+def test_scalar_only_jacobian_failure_is_typed():
+    builtin = pure_ode(y0=1.0)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(builtin, mesh, Method.IMPLICIT)
+    deltas = global_errors(trajectory, builtin)
+    broken = dataclasses.replace(builtin, kernel_y=lambda x, y, t: 0.0 * math.log(x))
+    with pytest.raises(StepEvaluationError) as excinfo:
+        recover_local_errors(deltas, broken, trajectory)
+    assert isinstance(excinfo.value.__cause__, ValueError)  # log(0) at node 0
 
 
 # --- direct local errors ----------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from videstep import (
     ImplicitSolveConfig,
+    InvalidSolveConfig,
     KernelCallMismatch,
     LengthMismatch,
     Method,
@@ -20,6 +21,7 @@ from videstep import (
     StepEvaluationError,
     TestEquationParams,
     VideProblem,
+    VidestepError,
     constant_kernel,
     cubic_kernel,
     direct_local_errors,
@@ -32,6 +34,7 @@ from videstep import (
     seeded_steps,
     test_equation,
 )
+from videstep import steppers
 
 
 def identity_problem():
@@ -283,10 +286,15 @@ def test_implicit_singular_jacobian():
     {"rel_tol": 0.0},
     {"abs_tol": -1.0},
     {"max_iterations": 0},
+    {"rel_tol": math.nan},
+    {"abs_tol": math.nan},
 ])
 def test_solve_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    # typed as a package error, and still a ValueError
+    with pytest.raises(InvalidSolveConfig):
         ImplicitSolveConfig(**kwargs)
+    assert issubclass(InvalidSolveConfig, VidestepError)
+    assert issubclass(InvalidSolveConfig, ValueError)
 
 
 # --- integrate --------------------------------------------------------------
@@ -585,3 +593,177 @@ def test_seeded_steps_match_single_steps(problem, method):
 def test_seeded_steps_need_one_value_per_node():
     with pytest.raises(LengthMismatch):
         seeded_steps(pure_ode(), make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT, np.ones(10))
+
+
+# --- scalar-only kernel rows ------------------------------------------------------
+
+
+def scalar_only(kernel):
+    """``kernel`` behind a guard that refuses arrays, as a kernel written
+    with math.* or float() does, so that every row is built node by node."""
+    def guarded(x, y, t):
+        if np.ndim(y) > 0:
+            raise TypeError("scalars only")
+        return kernel(x, y, t)
+    return guarded
+
+
+def per_node_row(kernel, x_outer, values, nodes):
+    """The reference row: one normalised scalar call per node."""
+    return np.array([steppers._call(kernel, x_outer, values[j], nodes[j])
+                     for j in range(values.size)])
+
+
+SCALAR_X_KERNEL = dataclasses.replace(
+    X_KERNEL, kernel=scalar_only(lambda x, y, t: x * float(y)))
+
+
+@pytest.mark.parametrize("result", [
+    lambda x, y, t: x * y * t + np.exp(-y),
+    lambda x, y, t: np.array(x * y),
+    lambda x, y, t: 3,
+    lambda x, y, t: np.float32(x * y),
+], ids=["float64", "0-d-array", "int", "float32"])
+def test_scalar_row_equals_per_node_calls(result):
+    kernel = scalar_only(result)
+    problem = VideProblem(f=lambda x, y: -y, kernel=kernel, y0=1.0,
+                          f_y=lambda x, y: -1.0, kernel_y=lambda x, y, t: 0.0)
+    values = np.cos(np.linspace(0.0, 3.0, 31)) + 0.5
+    nodes = 0.1 * np.arange(31)
+    row = steppers._kernel_row(problem, 3.0, values, nodes)
+    expected = per_node_row(kernel, 3.0, values, nodes)
+    assert row.dtype == np.float64
+    np.testing.assert_array_equal(row, expected)
+    # every return type is accepted by both methods
+    for method in Method:
+        trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.1), method)
+        assert trajectory.overflow_at is None
+
+
+def test_scalar_row_passes_numpy_floats():
+    seen = set()
+
+    def kernel(x, y, t):
+        seen.add((type(x), type(y), type(t)))
+        return x * float(y)
+
+    problem = VideProblem(f=lambda x, y: -y, kernel=scalar_only(kernel), y0=1.0)
+    integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
+    assert seen == {(float, np.float64, np.float64)}
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_scalar_row_evaluates_each_entry_once(method, monkeypatch):
+    # every kernel row is built with exactly one scalar call per entry, and
+    # without a per-entry pass through the callback normaliser; the only
+    # other kernel calls are the residual evaluations of the implicit solve
+    calls = [0]
+    normalised = [0]
+    evaluate = steppers._evaluate
+
+    def counted_evaluate(fn, *args):
+        normalised[0] += 1
+        return evaluate(fn, *args)
+
+    monkeypatch.setattr(steppers, "_evaluate", counted_evaluate)
+
+    def kernel(x, y, t):
+        calls[0] += 1
+        return x * float(y)
+
+    problem = dataclasses.replace(SCALAR_X_KERNEL, kernel=scalar_only(kernel))
+    build = steppers._kernel_row
+    rows = []
+
+    def counted(problem, x_outer, values, nodes, form=None):
+        before, normalised_before = calls[0], normalised[0]
+        row = build(problem, x_outer, values, nodes, form)
+        made = calls[0] - before
+        rows.append((values.size, made))
+        assert normalised[0] == normalised_before
+        np.testing.assert_array_equal(
+            row, per_node_row(problem.kernel, x_outer, values, nodes))
+        calls[0] = before + made  # the reference row's calls are not the run's
+        return row
+
+    monkeypatch.setattr(steppers, "_kernel_row", counted)
+    mesh = make_mesh(0.0, 1.0, 0.05)
+    for run in (lambda: integrate(problem, mesh, method),
+                lambda: direct_local_errors(
+                    dataclasses.replace(problem, exact=lambda x: np.exp(-x)),
+                    mesh, method)):
+        rows.clear()
+        calls[0] = 0
+        run()
+        assert rows and all(entries == made for entries, made in rows)
+        in_rows = sum(entries for entries, _ in rows)
+        if method == Method.EXPLICIT:
+            assert calls[0] == in_rows
+        else:
+            assert in_rows < calls[0] <= in_rows + mesh.n_steps * 50
+
+
+def failing_at(t_bad, failure):
+    """A scalar-only x-dependent kernel that calls ``failure()`` at the
+    inner node t_bad of every row whose outer node lies beyond it, and
+    returns x*y elsewhere (the implicit residual, at t = x, included)."""
+    def kernel(x, y, t):
+        if abs(t - t_bad) < 1e-12 and x > t + 1e-12:
+            return failure()
+        return x * float(y)
+    return dataclasses.replace(SCALAR_X_KERNEL, kernel=scalar_only(kernel))
+
+
+def first_failing_row(method, mesh, j):
+    """(x, y, t) of the first row entry at inner node j with x beyond x_j,
+    from the run of the same problem with a harmless kernel, and the step
+    index of the step that builds that row."""
+    w = integrate(SCALAR_X_KERNEL, mesh, method).w
+    point = (mesh.node(j + 1), w[j], mesh.nodes()[j])
+    # explicit: the row at x_{j+1} is the memory of step j+2; implicit: the
+    # row at x_{j+1} over w_0..w_j is the known part of step j+1
+    return point, (j + 2 if method == Method.EXPLICIT else j + 1)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_scalar_row_failure_names_the_node(method):
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    problem = failing_at(mesh.node(3), lambda: 1.0 / 0.0)
+    point, step = first_failing_row(method, mesh, 3)
+    with pytest.raises(StepEvaluationError) as excinfo:
+        integrate(problem, mesh, method)
+    assert str(excinfo.value) == f"callback failed at {point}"
+    assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+    assert excinfo.value.step_index == step
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_scalar_row_nonfinite_entry_names_the_node(method):
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    problem = failing_at(mesh.node(3), lambda: math.nan)
+    point, step = first_failing_row(method, mesh, 3)
+    with pytest.raises(StepEvaluationError) as excinfo:
+        integrate(problem, mesh, method)
+    assert str(excinfo.value) == f"callback returned non-finite value at {point}"
+    assert excinfo.value.step_index == step
+    with pytest.raises(StepEvaluationError, match="non-finite"):
+        direct_local_errors(dataclasses.replace(problem, exact=lambda x: np.exp(-x)),
+                            mesh, method)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_scalar_row_passes_package_errors_through(method):
+    raised = []
+
+    class Refused(VidestepError):
+        pass
+
+    def refuse():
+        raised.append(Refused("kernel refuses this node"))
+        raise raised[-1]
+
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    with pytest.raises(Refused) as excinfo:
+        integrate(failing_at(mesh.node(3), refuse), mesh, method)
+    # the kernel's own exception, from its first and only failing call
+    assert excinfo.value is raised[0] and len(raised) == 1
