@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from typing import Callable
 
@@ -105,7 +106,7 @@ class Mesh:
 def check_step_count(n_steps: int) -> None:
     """Raise TooManySteps when a mesh has more than MAX_STEPS steps."""
     if n_steps > MAX_STEPS:
-        raise TooManySteps(f"{n_steps} steps exceed the cap of {MAX_STEPS}")
+        raise TooManySteps(f"{Decimal(int(n_steps)):.3e} steps exceed the cap of {MAX_STEPS}")
 
 
 def make_mesh(x0: float, xf: float, h: float) -> Mesh:

@@ -254,8 +254,7 @@ def propagation_coefficients(problem: VideProblem,
     return _coefficients(trajectory, *_jacobians(problem, trajectory))
 
 
-def growth_rate_L(problem: VideProblem, trajectory: Trajectory,
-                  method: Method) -> float:
+def growth_rate_L(problem: VideProblem, trajectory: Trajectory) -> float:
     """Growth rate L of the global bound, from per-node jacobian data.
 
     Explicit: the node maximum of g_i = f_y + (h/2)*K_y when positive
@@ -267,7 +266,7 @@ def growth_rate_L(problem: VideProblem, trajectory: Trajectory,
     """
     nodes, fy, ky, den = _jacobians(problem, trajectory)
     h = trajectory.mesh.h
-    if method == Method.EXPLICIT:
+    if trajectory.method == Method.EXPLICIT:
         g = fy + 0.5 * h * ky
     else:
         _nonsingular(den, nodes, "growth-rate")
@@ -313,8 +312,8 @@ def amplitude_curve(deltas, L: float, mesh: Mesh) -> np.ndarray:
     return curve
 
 
-def fit_bound(problem: VideProblem, trajectory: Trajectory, deltas,
-              method: Method | None = None) -> tuple[BoundModel, np.ndarray]:
+def fit_bound(problem: VideProblem, trajectory: Trajectory,
+              deltas) -> tuple[BoundModel, np.ndarray]:
     """Fit the three-case bound to a run: growth rate, amplitude, branch.
 
     Returns the model together with the per-node estimation curve, the
@@ -323,9 +322,7 @@ def fit_bound(problem: VideProblem, trajectory: Trajectory, deltas,
     branch's stepsize condition 1 + h*L > 0 fails, in which case the
     bound is reported but not meaningful.
     """
-    if method is None:
-        method = trajectory.method
-    L = growth_rate_L(problem, trajectory, method)
+    L = growth_rate_L(problem, trajectory)
     h = trajectory.mesh.h
     if abs(L) <= ZERO_L_TOL:
         L = 0.0

@@ -65,7 +65,7 @@ class KernelCallMismatch(VidestepError):
 
 
 class NoConvergence(VidestepError):
-    """Newton or fixed-point iteration hit the iteration cap without meeting tolerance."""
+    """Newton or fixed-point iteration hit the cap, or stalled, above tolerance."""
 
     def __init__(self, iterations: int, last_residual: float):
         self.iterations = iterations

@@ -32,20 +32,26 @@ unknown u carries net trapezium weight h**2/2: its endpoint correction
 subtracts half of its interior weight. The history part of R is constant
 during the solve and is computed once per step.
 
-Both schemes need the sum of a kernel row K(x_m, w_j, x_j), j <= l, with
-its first and last entries; ``_trapezium`` turns those into S. How a run
-obtains the row depends on what the problem declares:
+One loop applies this step to one of two histories v: ``integrate`` feeds
+it its own output (v = w from y0; only such a run stops at an overflowing
+node), ``seeded_steps`` a given history, such as the exact solution, whose
+one-step values are not fed back. Both schemes need the sum of a kernel
+row K(x_m, v_j, x_j), j <= l, with its first and last entries;
+``_trapezium`` turns those into S. How the loop obtains the row depends
+on what the problem declares:
 
 - ``kernel_depends_on_x=False``: the row at outer node m+1 is the row at
-  m plus one entry, so ``integrate`` keeps the running sum
-  P_i = sum_{j<=i} K(x_j, w_j, x_j) and evaluates K once per node, O(n)
-  per run. On the implicit path the new entry is the kernel value of the
-  last residual evaluation, at the accepted u.
+  m plus one entry, so the loop keeps the running sum
+  P_i = sum_{j<=i} K(x_j, v_j, x_j), O(n) per run: one kernel evaluation
+  per node, or one row over a given history before the first step. On
+  the implicit path a run takes the new entry from the last residual
+  evaluation, at the accepted u.
 - otherwise (the default, and the only correct path for kernels that
   depend on x): each step evaluates one full row at its outer node,
   O(n**2) per run. The implicit predictor reuses the previous step's row
-  at x_i, completed by the kernel value of that step's last residual
-  evaluation.
+  at x_i, completed by the new entry K(x_i, v_i, x_i): the kernel value of
+  that step's last residual evaluation, or on a given history one scalar
+  call.
 
 A full row is one vector call when the kernel takes arrays and one scalar
 call per node when it does not. A run decides which once: the first
@@ -77,7 +83,6 @@ from .core import (
     check_step_count,
 )
 from .errors import (
-    IndexOutOfRange,
     InvalidSolveConfig,
     KernelCallMismatch,
     LengthMismatch,
@@ -92,9 +97,6 @@ from .errors import (
 __all__ = [
     "SolveStrategy",
     "ImplicitSolveConfig",
-    "history_sum",
-    "explicit_step",
-    "implicit_step",
     "integrate",
     "seeded_steps",
     "OVERFLOW_CUTOFF",
@@ -301,48 +303,10 @@ def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
 
 
 def _row_sums(problem: VideProblem, x_outer: float, values: np.ndarray,
-              nodes: np.ndarray, form: _KernelForm | None = None,
-              ) -> tuple[float, float, float]:
+              nodes: np.ndarray, form: _KernelForm) -> tuple[float, float, float]:
     """Sum, first entry and last entry of the kernel row at x_outer."""
     row = _kernel_row(problem, x_outer, values, nodes, form)
     return float(np.sum(row)), float(row[0]), float(row[-1])
-
-
-def history_sum(problem: VideProblem, values, mesh: Mesh,
-                outer_index: int, last_index: int) -> float:
-    """Weighted trapezium memory term S(outer_index, last_index; values).
-
-    Computes (h**2/2) * (sum_{j=0..last} 2*K(x_outer, v_j, x_j)
-    - K(x_outer, v_0, x_0) - K(x_outer, v_last, x_last)). For
-    ``last_index == 0`` the weights cancel and the result is exactly 0.0,
-    which is why the first explicit step has no kernel term.
-
-    ``values`` must supply entries for indices 0..last_index; anything
-    beyond is ignored.
-    """
-    if not 0 <= last_index <= outer_index <= mesh.n_steps:
-        raise IndexOutOfRange(
-            f"need 0 <= last_index <= outer_index <= {mesh.n_steps}, "
-            f"got outer={outer_index}, last={last_index}"
-        )
-    values = np.asarray(values, dtype=float)
-    if last_index >= values.size:
-        raise IndexOutOfRange(
-            f"history has {values.size} values, need {last_index + 1}"
-        )
-    if last_index == 0:
-        return 0.0
-    nodes = mesh.x0 + mesh.h * np.arange(last_index + 1)
-    return _trapezium(mesh.h, *_row_sums(problem, mesh.node(outer_index),
-                                         values[: last_index + 1], nodes))
-
-
-def explicit_step(problem: VideProblem, values, mesh: Mesh, i: int) -> float:
-    """Advance one node with the explicit method, given history values 0..i."""
-    x_i = mesh.node(i)
-    w_i = float(np.asarray(values)[i])
-    return (w_i + mesh.h * _call(problem.f, x_i, w_i)
-            + history_sum(problem, values, mesh, outer_index=i, last_index=i))
 
 
 def _solve(problem: VideProblem, x_next: float, known: float, u: float,
@@ -352,12 +316,15 @@ def _solve(problem: VideProblem, x_next: float, known: float, u: float,
 
     ``known`` is w_i plus the history part of the memory term. Returns the
     accepted u, the kernel value K(x_next, u, x_next) of the residual
-    evaluation that accepted it, and the solve diagnostics. Raises as
-    implicit_step does.
+    evaluation that accepted it, and the solve diagnostics. Raises
+    MissingJacobian, SingularJacobian (|Newton denominator| < 1e-14) and
+    NoConvergence: at the cap, or once the iterate repeats itself or the
+    one before it, so that every later iteration would repeat.
     """
     newton = cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS
     if newton and (problem.f_y is None or problem.kernel_y is None):
         raise MissingJacobian("Newton strategy requires f_y and kernel_y")
+    previous = None
     for k in range(1, cfg.max_iterations + 1):
         f_u = _call(problem.f, x_next, u)
         k_u = _call(problem.kernel, x_next, u, x_next)
@@ -366,48 +333,96 @@ def _solve(problem: VideProblem, x_next: float, known: float, u: float,
             return u, k_u, StepDiagnostics(iterations=k, last_residual=abs(r))
         if k == cfg.max_iterations:
             raise NoConvergence(iterations=k, last_residual=abs(r))
+        d = 1.0
         if newton:
             d = (1.0 - h * _call(problem.f_y, x_next, u)
                  - 0.5 * h * h * _call(problem.kernel_y, x_next, u, x_next))
             if abs(d) < JACOBIAN_FLOOR:
                 raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
-            u = u - r / d
-        else:
-            u = u - r
+        u_next = u - r / d
+        if u_next == u or u_next == previous:
+            raise NoConvergence(iterations=k, last_residual=abs(r))
+        previous, u = u, u_next
     raise AssertionError("unreachable")
 
 
-def implicit_step(problem: VideProblem, values, mesh: Mesh, i: int,
-                  cfg: ImplicitSolveConfig | None = None,
-                  ) -> tuple[float, StepDiagnostics]:
-    """Advance one node with the implicit method, given history values 0..i.
-
-    The step equation is solved to the tolerances in ``cfg`` (defaults if
-    None), starting from the explicit-step value, which sits O(h) from the
-    root. Returns the accepted value and the solve diagnostics.
-
-    Raises
-    ------
-    MissingJacobian
-        Newton strategy on a problem without f_y and kernel_y.
-    SingularJacobian
-        The Newton denominator fell below 1e-14 in magnitude.
-    NoConvergence
-        The iteration cap was reached with the residual above tolerance.
+def _march(problem: VideProblem, mesh: Mesh, method: Method,
+           cfg: ImplicitSolveConfig | None, seed,
+           ) -> tuple[np.ndarray, list[StepDiagnostics], int | None]:
+    """The stepping loop of both methods (see the module docstring): on its
+    own output from y0 when ``seed`` is None, else on the history ``seed``.
+    Returns the outputs, truncated after an overflowing node of an own
+    run, one StepDiagnostics per step, and the overflow index or None.
     """
+    check_step_count(mesh.n_steps)
+    own = seed is None
+    if own and not math.isfinite(problem.y0):
+        raise NonFiniteInitialValue(f"y0 must be finite, got {problem.y0}")
+    history = out = np.empty(mesh.n_steps + 1)
+    if not own:
+        history = np.asarray(seed, dtype=float)
+        if history.size != mesh.n_steps + 1:
+            raise LengthMismatch(f"{history.size} values for {mesh.n_steps + 1} nodes")
+    out[0] = problem.y0 if own else history[0]
     if cfg is None:
         cfg = ImplicitSolveConfig()
-    values = np.asarray(values, dtype=float)
     h = mesh.h
-    x_next = mesh.node(i + 1)
-    # Known part of the residual: w_i plus the kernel contribution of the
-    # already-computed history, all evaluated at outer node i+1.
-    nodes = mesh.x0 + h * np.arange(i + 1)
-    total, first, _ = _row_sums(problem, x_next, values[: i + 1], nodes)
-    known = float(values[i]) + _trapezium(h, total, first, 0.0)
-    u, _, diagnostics = _solve(problem, x_next, known,
-                               explicit_step(problem, values, mesh, i), h, cfg)
-    return u, diagnostics
+    nodes = mesh.nodes()
+    running = not problem.kernel_depends_on_x
+    implicit = method == Method.IMPLICIT
+    form = _KernelForm()
+    if running and not own:
+        # K ignores x, so one row holds every entry K(., v_j, x_j).
+        row = _kernel_row(problem, mesh.x0, history, nodes, form)
+    # Sum, first and last entry of the kernel row at outer node i over
+    # v_0..v_i: the memory of the explicit step from node i, and of the
+    # implicit predictor.
+    total = first = last = 0.0
+    diagnostics: list[StepDiagnostics] = []
+    for i in range(mesh.n_steps):
+        x_i = mesh.node(i)
+        v_i = float(history[i])
+        try:
+            if running and (i == 0 or not implicit):
+                # The one new kernel value of node i (after node 0 the
+                # implicit path takes it at the end of the step instead).
+                # A run takes it at history[i], a NumPy float, so an
+                # overflowing kernel yields inf and ends the run.
+                last = (_evaluate(problem.kernel, x_i, history[i], x_i) if own
+                        else float(row[i]))
+                total += last
+                if i == 0:
+                    first = last
+            elif not (running or implicit) and i > 0:
+                total, first, last = _row_sums(problem, x_i, history[: i + 1],
+                                               nodes[: i + 1], form)
+            memory = _trapezium(h, total, first, last) if i > 0 else 0.0
+            v_next = v_i + h * _call(problem.f, x_i, v_i) + memory
+            diag = _EXPLICIT_DIAGNOSTICS
+            if implicit:
+                x_next = mesh.node(i + 1)
+                if running:
+                    row_total, row_first = total, first
+                else:
+                    row_total, row_first, _ = _row_sums(problem, x_next, history[: i + 1],
+                                                        nodes[: i + 1], form)
+                if not own:
+                    # The new entry K(x_{i+1}, v_{i+1}, x_{i+1}) of a seed.
+                    last = (float(row[i + 1]) if running else
+                            _call(problem.kernel, x_next, history[i + 1], nodes[i + 1]))
+                known = v_i + _trapezium(h, row_total, row_first, 0.0)
+                v_next, k_u, diag = _solve(problem, x_next, known, v_next, h, cfg)
+                if own:
+                    last = k_u
+                total, first = row_total + last, row_first
+        except VidestepError as exc:
+            exc.step_index = i + 1
+            raise
+        diagnostics.append(diag)
+        out[i + 1] = v_next
+        if own and (not math.isfinite(v_next) or abs(v_next) > OVERFLOW_CUTOFF):
+            return out[: i + 2], diagnostics, i + 1
+    return out, diagnostics, None
 
 
 def integrate(problem: VideProblem, mesh: Mesh, method: Method,
@@ -435,72 +450,9 @@ def integrate(problem: VideProblem, mesh: Mesh, method: Method,
     NonFiniteInitialValue
         y0 is infinite or NaN.
     """
-    check_step_count(mesh.n_steps)
-    if not math.isfinite(problem.y0):
-        raise NonFiniteInitialValue(f"y0 must be finite, got {problem.y0}")
-    if cfg is None:
-        cfg = ImplicitSolveConfig()
-    h = mesh.h
-    nodes = mesh.nodes()
-    w = np.empty(mesh.n_steps + 1)
-    w[0] = problem.y0
-    running = not problem.kernel_depends_on_x
-    implicit = method == Method.IMPLICIT
-    form = _KernelForm()
-    # Sum, first and last entry of the kernel row at outer node i over
-    # w_0..w_i: the memory of the explicit step from node i, and of the
-    # implicit predictor.
-    total = first = last = 0.0
-    diagnostics: list[StepDiagnostics] = []
-    overflow_at = None
-    steps_done = mesh.n_steps
-    for i in range(mesh.n_steps):
-        x_i = mesh.node(i)
-        w_i = float(w[i])
-        try:
-            if running and (i == 0 or not implicit):
-                # The one new kernel value of node i (after node 0 the
-                # implicit path takes it from its last residual instead).
-                # It is taken at w[i], a NumPy float, so an overflowing
-                # kernel yields inf and the run ends through the overflow
-                # cutoff.
-                last = _evaluate(problem.kernel, x_i, w[i], x_i)
-                total += last
-                if i == 0:
-                    first = last
-            elif not (running or implicit) and i > 0:
-                total, first, last = _row_sums(problem, x_i, w[: i + 1],
-                                               nodes[: i + 1], form)
-            memory = _trapezium(h, total, first, last) if i > 0 else 0.0
-            w_next = w_i + h * _call(problem.f, x_i, w_i) + memory
-            if implicit:
-                x_next = mesh.node(i + 1)
-                if running:
-                    row_total, row_first = total, first
-                else:
-                    row_total, row_first, _ = _row_sums(problem, x_next, w[: i + 1],
-                                                        nodes[: i + 1], form)
-                known = w_i + _trapezium(h, row_total, row_first, 0.0)
-                w_next, last, diag = _solve(problem, x_next, known, w_next, h, cfg)
-                total, first = row_total + last, row_first
-                diagnostics.append(diag)
-            else:
-                diagnostics.append(_EXPLICIT_DIAGNOSTICS)
-        except VidestepError as exc:
-            exc.step_index = i + 1
-            raise
-        w[i + 1] = w_next
-        if not math.isfinite(w_next) or abs(w_next) > OVERFLOW_CUTOFF:
-            overflow_at = i + 1
-            steps_done = i + 1
-            break
-    return Trajectory(
-        mesh=mesh,
-        w=w[: steps_done + 1].copy(),
-        method=method,
-        step_diagnostics=diagnostics,
-        overflow_at=overflow_at,
-    )
+    w, diagnostics, overflow_at = _march(problem, mesh, method, cfg, None)
+    return Trajectory(mesh=mesh, w=w.copy(), method=method,
+                      step_diagnostics=diagnostics, overflow_at=overflow_at)
 
 
 def seeded_steps(problem: VideProblem, mesh: Mesh, method: Method, values,
@@ -511,8 +463,9 @@ def seeded_steps(problem: VideProblem, mesh: Mesh, method: Method, values,
     values[0..i], solving the step equation on the implicit path; entry 0
     is values[0]. With ``kernel_depends_on_x=False`` the kernel is
     evaluated once over all of ``values`` and each step's row sum is a
-    cumulative sum, O(n_steps) in all; otherwise each step evaluates one
-    row, O(n_steps**2).
+    running sum, O(n_steps) in all; otherwise each step evaluates one
+    row, O(n_steps**2). Exceptions raised inside a step gain a
+    ``step_index`` attribute, as in integrate.
 
     Raises
     ------
@@ -521,48 +474,4 @@ def seeded_steps(problem: VideProblem, mesh: Mesh, method: Method, values,
     LengthMismatch
         ``values`` does not hold one entry per mesh node.
     """
-    check_step_count(mesh.n_steps)
-    if cfg is None:
-        cfg = ImplicitSolveConfig()
-    values = np.asarray(values, dtype=float)
-    if values.size != mesh.n_steps + 1:
-        raise LengthMismatch(f"{values.size} values for {mesh.n_steps + 1} nodes")
-    h = mesh.h
-    nodes = mesh.nodes()
-    running = not problem.kernel_depends_on_x
-    implicit = method == Method.IMPLICIT
-    form = _KernelForm()
-    if running:
-        # K ignores x, so one row holds every entry K(., v_j, x_j).
-        row = _kernel_row(problem, mesh.x0, values, nodes, form)
-        totals = np.cumsum(row)
-    # Kernel row at outer node i over values[0..i], as in integrate.
-    total = first = last = 0.0
-    out = np.empty(mesh.n_steps + 1)
-    out[0] = values[0]
-    for i in range(mesh.n_steps):
-        x_i = mesh.node(i)
-        v_i = float(values[i])
-        if running:
-            total, first, last = float(totals[i]), float(row[0]), float(row[i])
-        elif not implicit and i > 0:
-            total, first, last = _row_sums(problem, x_i, values[: i + 1],
-                                           nodes[: i + 1], form)
-        memory = _trapezium(h, total, first, last) if i > 0 else 0.0
-        predicted = v_i + h * _call(problem.f, x_i, v_i) + memory
-        if implicit:
-            x_next = mesh.node(i + 1)
-            if running:
-                row_total, row_first = total, first
-            else:
-                # The row at x_{i+1} over values[0..i+1]: all but its last
-                # entry form this step's known part, all of it the next
-                # step's predictor memory.
-                ext = _kernel_row(problem, x_next, values[: i + 2], nodes[: i + 2], form)
-                row_total, row_first = float(np.sum(ext[:-1])), float(ext[0])
-                last = float(ext[-1])
-                total, first = row_total + last, row_first
-            known = v_i + _trapezium(h, row_total, row_first, 0.0)
-            predicted, _, _ = _solve(problem, x_next, known, predicted, h, cfg)
-        out[i + 1] = predicted
-    return out
+    return _march(problem, mesh, method, cfg, values)[0]

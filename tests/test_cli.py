@@ -143,6 +143,36 @@ def test_no_convergence_exits_numerical(outdir, capsys):
     assert "step 1" in err
 
 
+def test_stalled_solve_stops_before_a_huge_iteration_cap(outdir, capsys):
+    # tolerances below rounding: the residual stalls at 5.551e-17 and the
+    # iterate stops changing, so the solve gives up long before 10**9
+    code = main(["solve", "--problem", "cubic-kernel", "--xf", "1", "--h", "0.5",
+                 "--method", "implicit", "--rel-tol", "5e-324", "--abs-tol", "5e-324",
+                 "--max-iterations", "1000000000", "--out", "s.csv"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "(last residual 5.551e-17)" in err
+    assert int(err.split("no convergence after ")[1].split()[0]) < 100
+
+
+def test_step_cap_message_reads_in_exponent_form(outdir, capsys):
+    code = main(["solve", "--problem", "pure-ode", "--xf", "1e300", "--h", "0.25"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 4.000e+300 steps exceed the cap of 10000000\n")
+
+
+def test_negative_number_in_exponent_form_needs_equals_sign(outdir):
+    # argparse takes "-1e2" after a space for an option, not a number
+    argv = ["solve", "--problem", "test-equation", "--gamma", "-2",
+            "--xf", "1", "--h", "0.01", "--out", "l.csv"]
+    assert _exit_code(argv + ["--lambda=-1e2"]) == (0, "")
+    code, err = _exit_code(argv + ["--lambda", "-1e2"])
+    assert code == 2
+    assert "argument --lambda: expected one argument" in err
+    assert "Traceback" not in err
+
+
 def test_missing_required_option_is_usage_error(outdir, capsys):
     code = main(["solve", "--problem", "pure-ode", "--h", "0.1"])
     assert code == 2
@@ -321,15 +351,15 @@ def test_bare_config_command_name_as_option_value(outdir):
 # line, and the malformed value of at most one. Ordinary values keep every
 # mesh to a few thousand steps (figure meshes included); the special ones
 # give meshes that make_mesh or the step cap refuse before allocating.
-# Huge positive iteration caps are left out: a solve that cannot converge
-# then runs that many iterations, which is slow but not a failure.
+# A huge iteration cap is fast too: a solve whose tolerances sit below
+# rounding stalls within a few iterations and stops there.
 _ORDINARY = {"x0": ["0", "-1"], "xf": ["1", "2"], "x_d": ["1", "2"],
              "h": ["0.25", "0.1"], "lambda": ["-1", "1"], "gamma": ["-2", "0.5"],
              "y0": ["1", "-0.5"], "rel_tol": ["1e-12"], "abs_tol": ["1e-14"],
              float: ["0.5", "1"], int: ["2", "50"],
              None: ["0.25,0.125", "0.5", "0.5,0.25"]}
 _SPECIAL = {float: ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e300", "-1e300", "5e-324"],
-            int: ["0", "-1", "-1000000000000000000000"],
+            int: ["0", "-1", "-1000000000000000000000", "1000000000"],
             None: ["0.5,nan", "inf,0.25", "0,-1", "1e300,5e-324", "-inf"]}
 _MALFORMED = ["", ",", "abc", "1.5", "0.25,,abc", "1e999999"]
 _PRESENT = [True] * 7 + [False]
@@ -401,6 +431,9 @@ def test_no_command_line_ends_in_a_traceback(outdir):
                    "--max-iterations=0"])
     @example(argv=["solve", "--problem=pure-ode", "--xf=1", "--h=nan"])
     @example(argv=["solve", "--problem=pure-ode", "--xf=inf", "--h=0.1"])
+    @example(argv=["solve", "--problem=cubic-kernel", "--xf=1", "--h=0.5",
+                   "--method=implicit", "--rel-tol=5e-324", "--abs-tol=5e-324",
+                   "--max-iterations=1000000000"])
     def check(argv):
         code, err = _exit_code(argv)
         assert code in (0, 2, 3), (argv, code, err)

@@ -145,3 +145,11 @@ def test_step_diagnostics_fields():
     diag = StepDiagnostics(iterations=2, last_residual=1e-15)
     assert diag.iterations == 2
     assert diag.last_residual == 1e-15
+
+
+def test_step_cap_names_any_count_in_exponent_form():
+    # 2e323 steps of h = 5e-324 tile [0, 1]: a count above the largest
+    # float, still refused as TooManySteps and printed in exponent form
+    mesh = Mesh(x0=0.0, xf=1.0, h=5e-324, n_steps=2 * 10**323)
+    with pytest.raises(TooManySteps, match=r"^2\.000e\+323 steps exceed the cap of 10000000$"):
+        integrate(pure_ode(), mesh, Method.EXPLICIT)

@@ -190,28 +190,28 @@ def test_growth_rate_explicit_stiff(stiff_params):
     # f_y + (h/2)K_y = -100 + 0.0025*(-200) = -100.5, negative everywhere
     problem = test_equation(stiff_params)
     trajectory = integrate(problem, make_mesh(0.0, 1.0, 5e-3), Method.EXPLICIT)
-    L = growth_rate_L(problem, trajectory, Method.EXPLICIT)
+    L = growth_rate_L(problem, trajectory)
     assert L == pytest.approx(-100.5, rel=1e-12)
 
 
 def test_growth_rate_implicit_oscillatory(oscillatory_problem):
     trajectory = integrate(oscillatory_problem, make_mesh(0.0, 1.0, 5e-3),
                            Method.IMPLICIT)
-    L = growth_rate_L(oscillatory_problem, trajectory, Method.IMPLICIT)
+    L = growth_rate_L(oscillatory_problem, trajectory)
     assert L == pytest.approx(-1.015 / 1.005025, rel=1e-12)
 
 
 def test_growth_rate_positive_branch(growing_params):
     problem = test_equation(growing_params)
     trajectory = integrate(problem, make_mesh(0.0, 1.0, 5e-3), Method.EXPLICIT)
-    L = growth_rate_L(problem, trajectory, Method.EXPLICIT)
+    L = growth_rate_L(problem, trajectory)
     assert L == pytest.approx(1.0 + 0.0025 * 2.0, rel=1e-12)
 
 
 def test_growth_rate_zero_case():
     problem = constant_kernel()
     trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
-    assert growth_rate_L(problem, trajectory, Method.EXPLICIT) == 0.0
+    assert growth_rate_L(problem, trajectory) == 0.0
 
 
 def test_estimate_c_tilde_synthetic():
@@ -475,7 +475,7 @@ def test_reducing_kernel_y_is_rejected():
     with pytest.raises(KernelCallMismatch):
         propagation_coefficients(problem, trajectory)
     with pytest.raises(KernelCallMismatch):
-        growth_rate_L(problem, trajectory, Method.EXPLICIT)
+        growth_rate_L(problem, trajectory)
     with pytest.raises(KernelCallMismatch):
         recover_local_errors(deltas, problem, trajectory)
 

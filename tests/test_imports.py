@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private top-level name it defines is read somewhere in the package.
 
 The package namespace (``__init__.py``) re-exports names and is skipped.
 Only the standard library's ``ast`` is used, so no linter is needed.
@@ -29,3 +30,39 @@ def test_module_uses_every_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def private_definitions(tree):
+    """Top-level private names a module defines: functions, classes and
+    assigned names that start with one underscore (dunders excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def references(tree):
+    """Names a module reads: bare names, attributes (``steppers._call``) and
+    names imported from other modules of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_has_a_caller(path):
+    # a private helper that nothing in the package reads is dead code
+    used = {name for module in PACKAGE.glob("*.py")
+            for name in references(ast.parse(module.read_text()))}
+    dead = [name for name in private_definitions(ast.parse(path.read_text()))
+            if name not in used]
+    assert dead == [], f"{path.name} defines {dead} and nothing in the package uses them"

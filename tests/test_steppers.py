@@ -25,9 +25,6 @@ from videstep import (
     constant_kernel,
     cubic_kernel,
     direct_local_errors,
-    explicit_step,
-    history_sum,
-    implicit_step,
     integrate,
     make_mesh,
     pure_ode,
@@ -47,7 +44,23 @@ def identity_problem():
     )
 
 
-# --- history_sum ------------------------------------------------------------
+def step_from(problem, values, mesh, method, cfg=None):
+    """The value ``method`` computes for node k from ``values`` = v_0..v_{k-1}:
+    entry k of seeded_steps over them, padded with their last value to one
+    entry per mesh node (the padding plays no part in that step)."""
+    values = np.asarray(values, dtype=float)
+    history = np.pad(values, (0, mesh.n_steps + 1 - values.size), mode="edge")
+    return seeded_steps(problem, mesh, method, history, cfg)[values.size]
+
+
+def memory(problem, values, mesh):
+    """S(i, i; values) for i = len(values) - 1, the memory term of the
+    explicit step from node i: that step with f = 0, less values[i]."""
+    zero_f = dataclasses.replace(problem, f=lambda x, y: 0.0)
+    return step_from(zero_f, values, mesh, Method.EXPLICIT) - values[-1]
+
+
+# --- memory term (the trapezium history sum) -----------------------------------
 
 
 @pytest.mark.parametrize("kernel", [
@@ -56,23 +69,23 @@ def identity_problem():
     lambda x, y, t: np.exp(y) + x * t,
 ])
 def test_history_sum_first_node_is_exactly_zero(kernel):
-    # trapezium weights cancel at last_index=0: 2K - K - K, whatever K is
+    # trapezium weights cancel at node 0: 2K - K - K, whatever K is
     problem = VideProblem(f=lambda x, y: 0.0, kernel=kernel, y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
-    assert history_sum(problem, [1.0], mesh, outer_index=0, last_index=0) == 0.0
-    assert history_sum(problem, [1.0, 5.0], mesh, outer_index=3, last_index=0) == 0.0
+    assert memory(problem, [1.0], mesh) == 0.0
 
 
 @given(i=st.integers(min_value=1, max_value=40),
        h=st.floats(min_value=1e-3, max_value=0.5))
 @settings(max_examples=60, deadline=None)
 def test_history_sum_constant_kernel_closed_form(i, h):
-    # K = 1: (h**2/2)*(2*(i+1) - 2) = i*h**2, independent of the values
+    # K = 1: (h**2/2)*(2*(i+1) - 2) = i*h**2, independent of the values;
+    # the step adds it to values[i], which rounds by at most one ulp
     problem = constant_kernel()
     mesh = make_mesh(0.0, 41 * h, h)
     values = np.linspace(1.0, 2.0, i + 1)
-    got = history_sum(problem, values, mesh, outer_index=i, last_index=i)
-    assert got == pytest.approx(i * h * h, rel=1e-13)
+    got = memory(problem, values, mesh)
+    assert got == pytest.approx(i * h * h, rel=1e-13, abs=math.ulp(values[-1] + got))
 
 
 def test_history_sum_worked_example():
@@ -80,8 +93,7 @@ def test_history_sum_worked_example():
     # (h**2/2)*gamma*(2*(2+1.9+1.8) - 2 - 1.8) = 0.005*(-2)*7.6 = -0.076
     problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
     mesh = make_mesh(0.0, 1.0, 0.1)
-    values = [2.0, 1.9, 1.8]
-    got = history_sum(problem, values, mesh, outer_index=2, last_index=2)
+    got = memory(problem, [2.0, 1.9, 1.8], mesh)
     assert got == pytest.approx(-0.076, rel=1e-13)
 
 
@@ -95,33 +107,8 @@ def test_history_sum_matches_independent_trapezium():
     nodes = mesh.nodes()[:4]
     row = params.gamma * values
     expected = mesh.h * np.trapezoid(row, nodes)
-    got = history_sum(problem, values, mesh, outer_index=3, last_index=3)
+    got = memory(problem, values, mesh)
     assert got == pytest.approx(expected, rel=1e-13)
-
-
-def test_history_sum_outer_abscissa_matters():
-    # K depends on its first argument; outer_index selects it
-    problem = VideProblem(f=lambda x, y: 0.0,
-                          kernel=lambda x, y, t: x * y, y0=1.0)
-    mesh = make_mesh(0.0, 1.0, 0.1)
-    values = [1.0, 1.0, 1.0]
-    at2 = history_sum(problem, values, mesh, outer_index=2, last_index=2)
-    at5 = history_sum(problem, values, mesh, outer_index=5, last_index=2)
-    assert at5 == pytest.approx(at2 * mesh.node(5) / mesh.node(2), rel=1e-13)
-
-
-def test_history_sum_index_preconditions():
-    from videstep import IndexOutOfRange
-
-    problem = constant_kernel()
-    mesh = make_mesh(0.0, 1.0, 0.1)
-    with pytest.raises(IndexOutOfRange):
-        history_sum(problem, [1.0, 1.0], mesh, outer_index=1, last_index=2)
-    with pytest.raises(IndexOutOfRange):
-        history_sum(problem, [1.0, 1.0], mesh, outer_index=11, last_index=1)
-    with pytest.raises(IndexOutOfRange):
-        # values too short for last_index
-        history_sum(problem, [1.0, 1.0], mesh, outer_index=3, last_index=3)
 
 
 def test_history_sum_scalar_only_kernel_falls_back():
@@ -132,19 +119,20 @@ def test_history_sum_scalar_only_kernel_falls_back():
                       kernel=lambda x, y, t: math.exp(-y) + t, y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
     values = np.array([1.0, 0.9, 0.8])
-    a = history_sum(vec, values, mesh, outer_index=2, last_index=2)
-    b = history_sum(scl, values, mesh, outer_index=2, last_index=2)
+    a = memory(vec, values, mesh)
+    b = memory(scl, values, mesh)
     assert a == pytest.approx(b, rel=1e-15)
 
 
-# --- explicit_step ----------------------------------------------------------
+# --- explicit step ----------------------------------------------------------
 
 
 def test_explicit_step_worked_example():
     # lam=-1, gamma=-2, h=0.005, w0=2: w1 = 2 + 0.005*(-1)*(2-1) = 1.995
     problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
     mesh = make_mesh(0.0, 0.05, 0.005)
-    assert explicit_step(problem, [2.0], mesh, 0) == pytest.approx(1.995, rel=1e-14)
+    got = step_from(problem, [2.0], mesh, Method.EXPLICIT)
+    assert got == pytest.approx(1.995, rel=1e-14)
 
 
 def test_explicit_first_step_has_no_kernel_term():
@@ -153,19 +141,20 @@ def test_explicit_first_step_has_no_kernel_term():
                        kernel=lambda x, y, t: 1e9 * np.ones_like(np.asarray(y, dtype=float)),
                        y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
-    assert explicit_step(huge, [1.0], mesh, 0) == pytest.approx(1.0 + 0.1 * (-1.0))
+    assert step_from(huge, [1.0], mesh, Method.EXPLICIT) == pytest.approx(1.0 + 0.1 * (-1.0))
 
 
 def test_explicit_step_identity_dynamics():
     mesh = make_mesh(0.0, 1.0, 0.1)
-    assert explicit_step(identity_problem(), [2.0, 2.0], mesh, 1) == 2.0
+    assert step_from(identity_problem(), [2.0, 2.0], mesh, Method.EXPLICIT) == 2.0
 
 
 def test_explicit_step_constant_rhs():
     problem = VideProblem(f=lambda x, y: 1.0,
                           kernel=lambda x, y, t: 0.0 * y, y0=3.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
-    assert explicit_step(problem, [3.0, 3.1], mesh, 1) == pytest.approx(3.2, rel=1e-14)
+    got = step_from(problem, [3.0, 3.1], mesh, Method.EXPLICIT)
+    assert got == pytest.approx(3.2, rel=1e-14)
 
 
 def test_explicit_step_wraps_callback_failure():
@@ -173,7 +162,7 @@ def test_explicit_step_wraps_callback_failure():
                       kernel=lambda x, y, t: 0.0 * y, y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
     with pytest.raises(StepEvaluationError):
-        explicit_step(bad, [1.0], mesh, 0)
+        step_from(bad, [1.0], mesh, Method.EXPLICIT)
 
 
 def test_explicit_step_rejects_nonfinite_callback():
@@ -181,10 +170,18 @@ def test_explicit_step_rejects_nonfinite_callback():
                       kernel=lambda x, y, t: 0.0 * y, y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
     with pytest.raises(StepEvaluationError):
-        explicit_step(bad, [1.0], mesh, 0)
+        step_from(bad, [1.0], mesh, Method.EXPLICIT)
 
 
-# --- implicit_step ----------------------------------------------------------
+# --- implicit step ----------------------------------------------------------
+
+
+def first_implicit_step(problem, mesh, cfg=None):
+    """The first implicit step from y0 and its solve diagnostics, from a run;
+    the same value is the first step seeded with [y0]."""
+    trajectory = integrate(problem, mesh, Method.IMPLICIT, cfg)
+    assert trajectory.w[1] == step_from(problem, [problem.y0], mesh, Method.IMPLICIT, cfg)
+    return trajectory.w[1], trajectory.step_diagnostics[0]
 
 
 def test_implicit_step_linear_closed_form():
@@ -192,7 +189,7 @@ def test_implicit_step_linear_closed_form():
     # 1.11*u = 2.08, solved exactly without iteration
     problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
     mesh = make_mesh(0.0, 1.0, 0.1)
-    w1, diag = implicit_step(problem, [2.0], mesh, 0)
+    w1, diag = first_implicit_step(problem, mesh)
     assert w1 == pytest.approx(2.08 / 1.11, rel=1e-11)
     assert diag.iterations == 2
     assert diag.last_residual <= 1e-14 + 1e-12 * abs(w1)
@@ -200,7 +197,7 @@ def test_implicit_step_linear_closed_form():
 
 def test_implicit_step_identity_dynamics_one_iteration():
     mesh = make_mesh(0.0, 1.0, 0.1)
-    w1, diag = implicit_step(identity_problem(), [2.0], mesh, 0)
+    w1, diag = first_implicit_step(identity_problem(), mesh)
     assert w1 == 2.0
     assert diag.iterations == 1
 
@@ -212,7 +209,7 @@ def test_implicit_step_residual_contract():
     mesh = make_mesh(0.0, 1.0, 0.1)
     values = [2.0, 1.87]
     cfg = ImplicitSolveConfig()
-    u, _ = implicit_step(problem, values, mesh, 1, cfg)
+    u = step_from(problem, values, mesh, Method.IMPLICIT, cfg)
     h = mesh.h
     x2 = mesh.node(2)
     kernel_row = params.gamma * np.array([2.0, 1.87])
@@ -226,8 +223,8 @@ def test_implicit_step_residual_contract():
 def test_implicit_step_stiff_stays_bounded_where_explicit_grows():
     problem = test_equation(TestEquationParams(lam=-100.0, gamma=-200.0))
     mesh = make_mesh(0.0, 2.0, 0.05)
-    w1_implicit, _ = implicit_step(problem, [2.0], mesh, 0)
-    w1_explicit = explicit_step(problem, [2.0], mesh, 0)
+    w1_implicit = step_from(problem, [2.0], mesh, Method.IMPLICIT)
+    w1_explicit = step_from(problem, [2.0], mesh, Method.EXPLICIT)
     assert abs(w1_implicit) <= 2.0
     assert abs(w1_explicit) > 2.0
 
@@ -235,10 +232,10 @@ def test_implicit_step_stiff_stays_bounded_where_explicit_grows():
 def test_implicit_fixed_point_matches_newton():
     problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
     mesh = make_mesh(0.0, 1.0, 0.1)
-    newton, _ = implicit_step(problem, [2.0], mesh, 0,
-                              ImplicitSolveConfig(strategy=SolveStrategy.NEWTON_WITH_JACOBIANS))
-    fixed, diag = implicit_step(problem, [2.0], mesh, 0,
-                                ImplicitSolveConfig(strategy=SolveStrategy.FIXED_POINT))
+    newton, _ = first_implicit_step(
+        problem, mesh, ImplicitSolveConfig(strategy=SolveStrategy.NEWTON_WITH_JACOBIANS))
+    fixed, diag = first_implicit_step(
+        problem, mesh, ImplicitSolveConfig(strategy=SolveStrategy.FIXED_POINT))
     assert fixed == pytest.approx(newton, abs=1e-10)
     assert diag.iterations > 2  # contraction is slower than Newton
 
@@ -247,8 +244,8 @@ def test_implicit_fixed_point_needs_no_jacobians():
     problem = VideProblem(f=lambda x, y: -y,
                           kernel=lambda x, y, t: 0.0 * y, y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
-    w1, _ = implicit_step(problem, [1.0], mesh, 0,
-                          ImplicitSolveConfig(strategy=SolveStrategy.FIXED_POINT))
+    w1 = step_from(problem, [1.0], mesh, Method.IMPLICIT,
+                   ImplicitSolveConfig(strategy=SolveStrategy.FIXED_POINT))
     assert w1 == pytest.approx(1.0 / 1.1, rel=1e-10)
 
 
@@ -257,15 +254,15 @@ def test_implicit_newton_requires_jacobians():
                           kernel=lambda x, y, t: 0.0 * y, y0=1.0)
     mesh = make_mesh(0.0, 1.0, 0.1)
     with pytest.raises(MissingJacobian):
-        implicit_step(problem, [1.0], mesh, 0)
+        step_from(problem, [1.0], mesh, Method.IMPLICIT)
 
 
 def test_implicit_no_convergence_reports_state():
     problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
     mesh = make_mesh(0.0, 1.0, 0.1)
     with pytest.raises(NoConvergence) as excinfo:
-        implicit_step(problem, [2.0], mesh, 0,
-                      ImplicitSolveConfig(max_iterations=1))
+        step_from(problem, [2.0], mesh, Method.IMPLICIT,
+                  ImplicitSolveConfig(max_iterations=1))
     assert excinfo.value.iterations == 1
     assert excinfo.value.last_residual > 0.0
 
@@ -279,7 +276,29 @@ def test_implicit_singular_jacobian():
                           kernel_y=lambda x, y, t: 0.0)
     mesh = make_mesh(0.0, 1.0, h)
     with pytest.raises(SingularJacobian):
-        implicit_step(problem, [1.0], mesh, 0)
+        step_from(problem, [1.0], mesh, Method.IMPLICIT)
+
+
+def test_implicit_stalled_iterate_stops_at_once():
+    # tolerances below rounding: the iterate stops changing while the
+    # residual stays above them, so the solve stops long before the cap
+    cfg = ImplicitSolveConfig(rel_tol=5e-324, abs_tol=5e-324, max_iterations=10**6)
+    with pytest.raises(NoConvergence) as excinfo:
+        integrate(cubic_kernel(), make_mesh(0.0, 1.0, 0.5), Method.IMPLICIT, cfg)
+    assert excinfo.value.iterations < 100
+    assert 0.0 < excinfo.value.last_residual < 1e-15
+    assert excinfo.value.step_index == 1
+
+
+def test_implicit_two_cycle_stops_at_once():
+    # f = -2y at h = 0.5: the fixed-point update is u -> 1 - u, which from
+    # the predictor 0 cycles 0, 1, 0, ... with residuals -1, 1, -1, ...
+    problem = VideProblem(f=lambda x, y: -2.0 * y, kernel=lambda x, y, t: 0.0 * y, y0=1.0)
+    cfg = ImplicitSolveConfig(max_iterations=10**6, strategy=SolveStrategy.FIXED_POINT)
+    with pytest.raises(NoConvergence) as excinfo:
+        step_from(problem, [1.0], make_mesh(0.0, 1.0, 0.5), Method.IMPLICIT, cfg)
+    assert excinfo.value.iterations == 2
+    assert excinfo.value.last_residual == 1.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -553,8 +572,7 @@ def test_reducing_kernel_is_rejected(method):
     with pytest.raises(KernelCallMismatch):
         integrate(problem, make_mesh(0.0, 1.0, 0.1), method)
     with pytest.raises(KernelCallMismatch):
-        history_sum(problem, [1.0, 0.5, 0.25], make_mesh(0.0, 1.0, 0.1),
-                    outer_index=2, last_index=2)
+        memory(problem, [1.0, 0.5, 0.25], make_mesh(0.0, 1.0, 0.1))
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -571,22 +589,40 @@ def test_constant_scalar_kernel_is_accepted(method):
 # --- seeded_steps ---------------------------------------------------------------
 
 
+def per_prefix_steps(h, values, method, lam, b, c):
+    """One step of ``method`` from each prefix v_0..v_i of ``values`` by the
+    step equations, for f = lam*y + b and K = c(x)*y on nodes i*h. The
+    implicit step equation is linear in u, so it is solved in closed form."""
+    x = h * np.arange(values.size)
+    out = np.empty(values.size)
+    out[0] = values[0]
+    for i in range(values.size - 1):
+        v = values[: i + 1]
+        if method == Method.IMPLICIT:
+            c_next = c(x[i + 1])
+            known = v[i] + h * b + 0.5 * h * h * c_next * (2.0 * np.sum(v) - v[0])
+            out[i + 1] = known / (1.0 - h * lam - 0.5 * h * h * c_next)
+        else:
+            row = c(x[i]) * v
+            out[i + 1] = (v[i] + h * (lam * v[i] + b)
+                          + 0.5 * h * h * (2.0 * np.sum(row) - row[0] - row[-1]))
+    return out
+
+
 @pytest.mark.parametrize("method", list(Method))
-@pytest.mark.parametrize("problem", [
-    X_KERNEL,
-    test_equation(TestEquationParams(lam=-1.0, gamma=-2.0)),
+@pytest.mark.parametrize("problem, coefficients", [
+    (X_KERNEL, (-1.0, 0.0, lambda x: x)),
+    # lam*(y - 1) with lam = -1, gamma = -2
+    (test_equation(TestEquationParams(lam=-1.0, gamma=-2.0)), (-1.0, 1.0, lambda x: -2.0)),
 ], ids=["x-dependent", "running-sum"])
-def test_seeded_steps_match_single_steps(problem, method):
-    # the per-prefix steppers are the reference; only summation order differs
+def test_seeded_steps_match_single_steps(problem, coefficients, method):
+    # the per-prefix step equations are the reference; only summation
+    # order and the solve tolerance differ
     mesh = make_mesh(0.0, 1.0, 0.05)
     values = np.cos(mesh.nodes()) + 1.0
     got = seeded_steps(problem, mesh, method, values)
-    for i in range(mesh.n_steps):
-        if method == Method.EXPLICIT:
-            expected = explicit_step(problem, values, mesh, i)
-        else:
-            expected, _ = implicit_step(problem, values, mesh, i)
-        assert abs(got[i + 1] - expected) <= 1e-12 * max(1.0, abs(expected))
+    expected = per_prefix_steps(mesh.h, values, method, *coefficients)
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
     assert got[0] == values[0]
 
 
@@ -767,3 +803,30 @@ def test_scalar_row_passes_package_errors_through(method):
         integrate(failing_at(mesh.node(3), refuse), mesh, method)
     # the kernel's own exception, from its first and only failing call
     assert excinfo.value is raised[0] and len(raised) == 1
+
+
+# --- one stepping loop ------------------------------------------------------------
+
+
+SEEDED_PROBLEMS = {
+    **BUILTINS,
+    "cubic-kernel-full-row": lambda: dataclasses.replace(cubic_kernel(y0=1.5),
+                                                         kernel_depends_on_x=True),
+    "x-dependent": lambda: X_KERNEL,
+    "x-dependent-scalar-only": lambda: SCALAR_X_KERNEL,
+}
+
+
+@pytest.mark.parametrize("strategy", list(SolveStrategy))
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("problem_id", sorted(SEEDED_PROBLEMS))
+def test_seeded_steps_on_a_run_reproduce_it(problem_id, method, strategy):
+    # a run is the stepping loop fed its own output: seeding the loop with
+    # that output gives it back bit for bit
+    problem = SEEDED_PROBLEMS[problem_id]()
+    mesh = make_mesh(0.0, 2.0, 0.02)
+    cfg = ImplicitSolveConfig(strategy=strategy)
+    trajectory = integrate(problem, mesh, method, cfg)
+    assert trajectory.overflow_at is None
+    np.testing.assert_array_equal(seeded_steps(problem, mesh, method, trajectory.w, cfg),
+                                  trajectory.w)
