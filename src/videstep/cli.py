@@ -51,6 +51,7 @@ from .experiments import (
     _bound,
     _divergence,
     _solve_config,
+    _solver,
     figure_spec,
     run_consistency_study,
     run_experiment,
@@ -296,6 +297,7 @@ def _run_command(command: str, opts: dict) -> int:
         "x0": mesh.x0,
         "xf": mesh.xf,
         **_divergence(trajectory),
+        "solver": _solver(trajectory),
         "config": _config_mapping(command, opts),
     }
 
@@ -306,8 +308,12 @@ def _run_command(command: str, opts: dict) -> int:
         if problem.exact is None:
             reference = auto_reference(problem, trajectory, cfg)
         deltas = global_errors(trajectory, problem, reference)
-        metadata["source"] = (ErrorSource.AGAINST_EXACT if reference is None
-                              else ErrorSource.AGAINST_REFERENCE_RUN)
+        if reference is None:
+            metadata["source"] = ErrorSource.AGAINST_EXACT
+        else:
+            metadata.update(source=ErrorSource.AGAINST_REFERENCE_RUN,
+                            reference_h=reference.mesh.h,
+                            reference_error_estimate=reference.error_estimate)
         metadata["max_abs_delta"] = float(np.max(np.abs(deltas)))
         if command == "errors":
             columns = {"i": index, "x": nodes, "w": trajectory.w,

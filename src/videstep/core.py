@@ -177,6 +177,9 @@ class Trajectory:
     overflow_at : int or None
         Index of the first node whose magnitude exceeded the divergence
         cutoff, or None if the run stayed finite.
+    error_estimate : float or None
+        Estimated max|w_i - y(x_i)| of the extrapolated values returned by
+        ``error_analysis.auto_reference``; None on an ordinary run.
     """
 
     mesh: Mesh
@@ -184,3 +187,4 @@ class Trajectory:
     method: Method
     step_diagnostics: list[StepDiagnostics] = field(default_factory=list)
     overflow_at: int | None = None
+    error_estimate: float | None = None

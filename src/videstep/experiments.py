@@ -223,6 +223,15 @@ def _divergence(trajectory: Trajectory) -> dict:
     }
 
 
+def _solver(trajectory: Trajectory) -> dict:
+    """The "solver" metadata block, from the run's step diagnostics:
+    iterations per step (max, mean) and the worst final residual."""
+    iterations = [d.iterations for d in trajectory.step_diagnostics]
+    return {"max_iterations": max(iterations),
+            "mean_iterations": sum(iterations) / len(iterations),
+            "worst_residual": max(d.last_residual for d in trajectory.step_diagnostics)}
+
+
 def _bound(problem: VideProblem, trajectory: Trajectory,
            deltas: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray, float]:
     """The fitted bound of a run: its metadata entries, the estimation
@@ -297,6 +306,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "source": ErrorSource.AGAINST_EXACT,
         "max_abs_delta": float(np.max(np.abs(deltas))),
         **_divergence(trajectory),
+        "solver": _solver(trajectory),
         "config": _run_config(figure_id, spec, method, cfg),
     }
 

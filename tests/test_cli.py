@@ -8,6 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from videstep import (
+    Method,
+    TestEquationParams,
+    auto_reference,
+    cubic_kernel,
+    integrate,
+    make_mesh,
+    test_equation,
+)
 from videstep.cli import _build_parser, _options, main
 from videstep.test_problems import PROBLEM_IDS
 
@@ -82,6 +91,42 @@ def test_local_command_recovered_matches_direct(outdir):
     rec = np.array([float(r[2]) for r in rows])
     direct = np.array([float(r[3]) for r in rows])
     assert float(np.max(np.abs(rec - direct))) <= 1e-10
+
+
+def test_errors_sidecar_records_the_reference(outdir):
+    code = main(["errors", "--problem", "cubic-kernel", "--xf", "5", "--h", "0.1",
+                 "--out", "e.csv"])
+    assert code == 0
+    meta = json.loads((outdir / "e.meta.json").read_text())
+    assert meta["source"] == "against-reference-run"
+    problem = cubic_kernel()
+    reference = auto_reference(problem, integrate(problem, make_mesh(0.0, 5.0, 0.1),
+                                                  Method.EXPLICIT))
+    assert meta["reference_h"] == reference.mesh.h == pytest.approx(0.01)
+    assert meta["reference_error_estimate"] == reference.error_estimate > 0.0
+    # a run against an exact solution names no reference
+    main(["errors", "--problem", "pure-ode", "--xf", "1", "--h", "0.1", "--out", "x.csv"])
+    meta = json.loads((outdir / "x.meta.json").read_text())
+    assert meta["source"] == "against-exact"
+    assert "reference_h" not in meta and "reference_error_estimate" not in meta
+
+
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+@pytest.mark.parametrize("command", ["solve", "errors", "bound", "local"])
+def test_sidecar_solver_block_summarises_step_diagnostics(outdir, command, method):
+    code = main([command, "--problem", "test-equation", "--lambda", "-1", "--gamma", "-2",
+                 "--xf", "1", "--h", "0.1", "--method", method, "--out", "r.csv"])
+    assert code == 0
+    run = integrate(test_equation(TestEquationParams(-1.0, -2.0)),
+                    make_mesh(0.0, 1.0, 0.1), Method(method))
+    iterations = [d.iterations for d in run.step_diagnostics]
+    expected = {
+        "max_iterations": max(iterations),
+        "mean_iterations": float(np.mean(iterations)),
+        "worst_residual": max(d.last_residual for d in run.step_diagnostics),
+    }
+    assert json.loads((outdir / "r.meta.json").read_text())["solver"] == expected
+    assert (expected["max_iterations"] > 0) == (method == "implicit")
 
 
 def test_order_command(outdir):

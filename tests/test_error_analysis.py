@@ -89,19 +89,98 @@ def test_global_errors_needs_exact_or_reference():
 
 
 def test_global_errors_against_reference_run():
-    # strip the exact solution and measure against an h/100 reference;
-    # contamination is ~1% of the first-order error
+    # strip the exact solution and measure against the extrapolated
+    # reference on the h/10 mesh; its error is second order, so it
+    # contaminates the first-order Delta by well under 0.1%
     problem = pure_ode(y0=1.0)
     blind = dataclasses.replace(problem, exact=None)
     mesh = make_mesh(0.0, 1.0, 0.1)
-    trajectory = integrate(blind, mesh, Method.EXPLICIT)
+    for method in Method:
+        trajectory = integrate(blind, mesh, method)
+        reference = auto_reference(blind, trajectory)
+        assert reference.mesh.h == pytest.approx(mesh.h / 10.0)
+        assert reference.method == method
+        measured = global_errors(trajectory, blind, reference)
+        truth = global_errors(trajectory, problem)
+        assert measured[0] == 0.0
+        np.testing.assert_allclose(measured[1:], truth[1:], rtol=1e-3)
+
+
+REFERENCE_GRID = [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, -2.0), (1.0, 2.0),
+                  (-50.0, -1.0)]
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("h", [0.01, 0.005])
+@pytest.mark.parametrize("lam,gamma", REFERENCE_GRID)
+def test_reference_run_accuracy_and_its_estimate(lam, gamma, h, method):
+    # Delta measured against the extrapolated reference agrees with the
+    # exact Delta to 0.2% of max|Delta|, and the reference's own error
+    # estimate, made without the exact solution, is within a factor of 2
+    # of its true max error
+    problem = test_equation(TestEquationParams(lam=lam, gamma=gamma))
+    blind = dataclasses.replace(problem, exact=None)
+    trajectory = integrate(blind, make_mesh(0.0, 2.0 if lam == -50.0 else 5.0, h), method)
     reference = auto_reference(blind, trajectory)
-    assert reference.mesh.h == pytest.approx(mesh.h / 100.0)
-    assert reference.method == Method.EXPLICIT
-    measured = global_errors(trajectory, blind, reference)
     truth = global_errors(trajectory, problem)
-    assert measured[0] == 0.0
-    np.testing.assert_allclose(measured[1:], truth[1:], rtol=0.03)
+    gap = np.max(np.abs(global_errors(trajectory, blind, reference) - truth))
+    assert gap <= 2e-3 * np.max(np.abs(truth))
+    true_error = np.max(np.abs(reference.w - problem.exact(reference.mesh.nodes())))
+    assert true_error / 2.0 <= reference.error_estimate <= 2.0 * true_error
+    assert trajectory.error_estimate is None
+
+
+def test_reference_carries_the_h_over_10_run_diagnostics():
+    problem = cubic_kernel(y0=1.0)
+    trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.IMPLICIT)
+    reference = auto_reference(problem, trajectory)
+    mid = integrate(problem, make_mesh(0.0, 1.0, 0.01), Method.IMPLICIT)
+    assert reference.step_diagnostics == mid.step_diagnostics
+    assert reference.overflow_at is None
+
+
+def test_reference_ends_where_the_shortest_level_ends():
+    # y' = -300y on [0, 20] at h = 0.05: explicit Euler multiplies by
+    # 1 - 300*h/k per step, -2 at h/5 (overflows near x = 10) and 0.5,
+    # 0.25 at h/10, h/20 (stable); the reference stops where h/5 stopped
+    problem = VideProblem(f=lambda x, y: -300.0 * y, kernel=lambda x, y, t: 0.0 * y,
+                          y0=1.0, kernel_depends_on_x=False)
+    trajectory = integrate(problem, make_mesh(0.0, 20.0, 0.05), Method.EXPLICIT)
+    coarse = integrate(problem, make_mesh(0.0, 20.0, 0.01), Method.EXPLICIT)
+    assert coarse.overflow_at == coarse.w.size - 1 < 1000
+    reference = auto_reference(problem, trajectory)
+    assert reference.w.size == 2 * coarse.w.size - 1
+    assert reference.overflow_at == reference.w.size - 1
+    assert len(reference.step_diagnostics) == reference.w.size - 1
+    # the run itself reaches further than its reference
+    assert trajectory.w.size > (reference.w.size - 1) // 10 + 1
+    with pytest.raises(LengthMismatch):
+        global_errors(trajectory, problem, reference)
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_reference_kernel_call_count(n):
+    # the three levels take 5n + 10n + 20n steps, one kernel call each on
+    # the explicit running-sum path, where one run at h/100 took 100n; the
+    # implicit solve calls K once per iteration, so it is held to 40% of
+    # 2*100n, two iterations per step at h/100
+    calls = []
+    base = cubic_kernel(y0=1.0)
+
+    def counting(x, y, t):
+        calls.append(1)
+        return base.kernel(x, y, t)
+
+    problem = dataclasses.replace(base, kernel=counting)
+    mesh = make_mesh(0.0, 5.0, 5.0 / n)
+    for method in Method:
+        trajectory = integrate(problem, mesh, method)
+        calls.clear()
+        auto_reference(problem, trajectory)
+        if method == Method.EXPLICIT:
+            assert len(calls) == 35 * n
+        else:
+            assert len(calls) < 0.4 * 2 * 100 * n
 
 
 def test_global_errors_rejects_misaligned_reference():

@@ -13,6 +13,7 @@ from videstep import (
     UnknownProblem,
     direct_local_errors,
     figure_spec,
+    integrate,
     make_mesh,
     run_consistency_study,
     run_experiment,
@@ -134,6 +135,21 @@ def test_figure5_local_error_recovery():
     assert float(np.max(np.abs(table.columns["epsilon"] - direct))) <= 1e-10
 
 
+@pytest.mark.parametrize("figure_id", [4, 5])
+def test_figure_sidecar_solver_block(figure_id):
+    # figure 4 runs the implicit method with Newton, figure 5 the explicit
+    spec = figure_spec(figure_id)
+    table = run_experiment(spec)
+    run = integrate(test_equation(spec.params), spec.mesh, table.metadata["method"])
+    iterations = [d.iterations for d in run.step_diagnostics]
+    assert table.metadata["solver"] == {
+        "max_iterations": max(iterations),
+        "mean_iterations": float(np.mean(iterations)),
+        "worst_residual": max(d.last_residual for d in run.step_diagnostics),
+    }
+    assert (table.metadata["solver"]["max_iterations"] > 0) == (figure_id == 4)
+
+
 def test_run_experiment_method_override_is_honoured():
     table = run_experiment(figure_spec(4, {"method": "explicit"}))
     assert table.metadata["method"] == Method.EXPLICIT
@@ -153,6 +169,14 @@ def test_order_study_first_order():
     config = table.metadata["config"]
     assert config["command"] == "order"
     assert config["h_list"] == [0.02, 0.01, 0.005]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_order_study_cubic_kernel_against_reference(method):
+    # no exact solution: every rung is measured against auto_reference
+    table = run_order_study("cubic-kernel", 5.0, [0.1, 0.05, 0.025], method, y0=1.8)
+    p = table.columns["p"][1:]
+    assert np.all((p >= 0.8) & (p <= 1.2))
 
 
 def test_order_study_default_test_equation_coefficients():
