@@ -39,6 +39,7 @@ from .error_analysis import (
 )
 from .errors import (
     DegenerateDenominator,
+    MissingExact,
     NoConvergence,
     SingularDenominator,
     SingularJacobian,
@@ -81,65 +82,68 @@ class UsageError(Exception):
     pass
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and the subparser of each command by name."""
+# Each command and its help line, in the order --help lists them.
+_COMMANDS = {
+    "solve": "integrate and emit the trajectory",
+    "errors": "emit per-node global errors",
+    "bound": "fit the growth rate and emit the error bound",
+    "local": "emit recovered and directly measured local errors",
+    "order": "global-error order study over a stepsize ladder",
+    "consistency": "local-error order study over a stepsize ladder",
+    "figure": "reproduce one canned experiment (1-5)",
+}
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """Give the subparser ``p`` of ``command`` its options."""
+    study, figure = command in ("order", "consistency"), command == "figure"
+    p.add_argument("--config", help="JSON config file; flags override it")
+    if not figure:
+        p.add_argument("--problem", choices=PROBLEM_IDS)
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help="test-equation coefficient of (y - 1)")
+    p.add_argument("--gamma", type=float, help="test-equation kernel coefficient")
+    if not figure:
+        p.add_argument("--y0", type=float, help="initial value (manufactured problems only)")
+    p.add_argument("--x0", type=float)
+    if command != "order":
+        p.add_argument("--xf", type=float)
+    if not study:
+        p.add_argument("--h", type=float)
+    p.add_argument("--method", choices=["explicit", "implicit"])
+    p.add_argument("--strategy", choices=["newton", "fixed-point"])
+    p.add_argument("--rel-tol", dest="rel_tol", type=float)
+    p.add_argument("--abs-tol", dest="abs_tol", type=float)
+    p.add_argument("--max-iterations", dest="max_iterations", type=int)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["csv", "json"])
+    if not study:
+        p.add_argument("--allow-divergence", action="store_true", default=None)
+    if command == "order":
+        p.add_argument("--x-d", dest="x_d", type=float, help="node at which errors are compared")
+        p.add_argument("--h-list", dest="h_list",
+                       help="comma-separated stepsizes, e.g. 0.02,0.01,0.005")
+    elif command == "consistency":
+        p.add_argument("--h-list", dest="h_list", help="comma-separated stepsizes")
+    elif figure:
+        p.add_argument("--id", dest="id", type=int, choices=[1, 2, 3, 4, 5])
+
+
+def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the subparser of each command by name. Only the
+    subparser of ``command`` gets its options (all of them when it is
+    None); the top-level help, usage and errors are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="videstep",
         description="Euler-Trapezium solvers and error analysis for "
                     "Volterra integro-differential equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, mesh_end=True, step=True, divergence=True, problem=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        if problem:
-            p.add_argument("--problem", choices=PROBLEM_IDS)
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="test-equation coefficient of (y - 1)")
-        p.add_argument("--gamma", type=float,
-                       help="test-equation kernel coefficient")
-        if problem:
-            p.add_argument("--y0", type=float,
-                           help="initial value (manufactured problems only)")
-        p.add_argument("--x0", type=float)
-        if mesh_end:
-            p.add_argument("--xf", type=float)
-        if step:
-            p.add_argument("--h", type=float)
-        p.add_argument("--method", choices=["explicit", "implicit"])
-        p.add_argument("--strategy", choices=["newton", "fixed-point"])
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv", "json"])
-        if divergence:
-            p.add_argument("--allow-divergence", action="store_true",
-                           default=None)
-
-    for name, doc in [
-        ("solve", "integrate and emit the trajectory"),
-        ("errors", "emit per-node global errors"),
-        ("bound", "fit the growth rate and emit the error bound"),
-        ("local", "emit recovered and directly measured local errors"),
-    ]:
-        add_common(sub.add_parser(name, help=doc))
-
-    p = sub.add_parser("order", help="global-error order study over a stepsize ladder")
-    add_common(p, mesh_end=False, step=False, divergence=False)
-    p.add_argument("--x-d", dest="x_d", type=float,
-                   help="node at which errors are compared")
-    p.add_argument("--h-list", dest="h_list",
-                   help="comma-separated stepsizes, e.g. 0.02,0.01,0.005")
-
-    p = sub.add_parser("consistency", help="local-error order study over a stepsize ladder")
-    add_common(p, step=False, divergence=False)
-    p.add_argument("--h-list", dest="h_list",
-                   help="comma-separated stepsizes")
-
-    p = sub.add_parser("figure", help="reproduce one canned experiment (1-5)")
-    add_common(p, problem=False)
-    p.add_argument("--id", dest="id", type=int, choices=[1, 2, 3, 4, 5])
+    for name, doc in _COMMANDS.items():
+        p = sub.add_parser(name, help=doc)
+        if command in (None, name):
+            _add_options(p, name)
     return parser, sub.choices
 
 
@@ -285,6 +289,9 @@ def _run_command(command: str, opts: dict) -> int:
     mesh = make_mesh(opts["x0"], opts["xf"], opts["h"])
     method = Method(opts["method"])
     cfg = _solve_config(opts)
+    if command == "local" and problem.exact is None:
+        # Refused before the run, as direct_local_errors would refuse after it.
+        raise MissingExact("direct local errors need the exact solution")
     started = time.perf_counter()
     trajectory = integrate(problem, mesh, method, cfg)
     nodes = mesh.nodes()[: trajectory.w.size]
@@ -357,7 +364,7 @@ def _cmd_figure(opts: dict) -> int:
     return _emit(table, opts, f"fig{opts['id']}.csv")
 
 
-def _config_command(argv: list[str], commands) -> str | None:
+def _config_command(argv: list[str]) -> str | None:
     """The command that the config file of a bare `videstep --config FILE`
     names, or None when argv has no --config."""
     bare = argparse.ArgumentParser(prog="videstep", add_help=False)
@@ -366,22 +373,21 @@ def _config_command(argv: list[str], commands) -> str | None:
     if path is None:
         return None
     command = _read_config(path).get("command")
-    if not (isinstance(command, str) and command in commands):
+    if not (isinstance(command, str) and command in _COMMANDS):
         raise UsageError(f"config file {path} names no valid command")
     return command
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
     command = None
     try:
         # Bare `videstep --config file` takes its command from the file; a
-        # command, when given, comes first.
-        if argv and argv[0] not in subparsers:
-            found = _config_command(argv, subparsers)
-            if found is not None:
-                argv.insert(0, found)
+        # command, when given, comes first, and only its options are built.
+        if argv and argv[0] not in _COMMANDS and (found := _config_command(argv)):
+            argv.insert(0, found)
+        named = argv[0] if argv and argv[0] in _COMMANDS else None
+        parser, subparsers = _build_parser(named)
         args = parser.parse_args(argv)
         command = args.command
         opts = _resolve(args, _options(subparsers[command]))

@@ -70,6 +70,9 @@ __all__ = [
 # result metadata even when it stayed under the hard overflow cutoff.
 DIVERGENCE_THRESHOLD = 1e10
 
+# Rows of a CSV table formatted as one piece of text.
+CSV_BLOCK_ROWS = 65536
+
 
 class ExperimentKind(str, Enum):
     FIGURE1 = "figure-1"
@@ -130,18 +133,16 @@ class ResultTable:
             raise ValueError(f"column lengths differ: {lengths}")
 
     def to_csv(self, path) -> None:
-        names = list(self.columns)
-        arrays = [self.columns[n] for n in names]
+        """Write the columns as CSV, ``i`` as integers and the others as
+        '%.16e' % x (the bytes of format(x, ".16e"), nan, ±inf and -0.0
+        included), one %-format per row and CSV_BLOCK_ROWS rows per write."""
+        line = ",".join("%d" if name == "i" else "%.16e" for name in self.columns) + "\n"
+        arrays = [np.asarray(column) for column in self.columns.values()]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in zip(*arrays):
-                cells = []
-                for name, value in zip(names, row):
-                    if name == "i":
-                        cells.append(str(int(value)))
-                    else:
-                        cells.append(format(float(value), ".16e"))
-                fh.write(",".join(cells) + "\n")
+            fh.write(",".join(self.columns) + "\n")
+            for start in range(0, len(arrays[0]) if arrays else 0, CSV_BLOCK_ROWS):
+                block = [a[start:start + CSV_BLOCK_ROWS].tolist() for a in arrays]
+                fh.write("".join([line % row for row in zip(*block)]))
 
     def to_json(self, path) -> None:
         payload = {

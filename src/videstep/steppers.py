@@ -164,8 +164,13 @@ def _evaluate(fn, *args) -> float:
 
 
 def _call(fn, *args) -> float:
-    """Evaluate a user callback at scalar arguments, normalising failures."""
-    value = _evaluate(fn, *args)
+    """_evaluate that also refuses a non-finite result, in one frame."""
+    try:
+        value = float(fn(*args))
+    except VidestepError:
+        raise
+    except Exception as exc:
+        raise StepEvaluationError(f"callback failed at {args}") from exc
     if not math.isfinite(value):
         raise StepEvaluationError(f"callback returned non-finite value at {args}")
     return value
@@ -321,22 +326,25 @@ def _solve(problem: VideProblem, x_next: float, known: float, u: float,
     NoConvergence: at the cap, or once the iterate repeats itself or the
     one before it, so that every later iteration would repeat.
     """
+    f, kernel, f_y, kernel_y = problem.f, problem.kernel, problem.f_y, problem.kernel_y
     newton = cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS
-    if newton and (problem.f_y is None or problem.kernel_y is None):
+    if newton and (f_y is None or kernel_y is None):
         raise MissingJacobian("Newton strategy requires f_y and kernel_y")
+    abs_tol, rel_tol, cap = cfg.abs_tol, cfg.rel_tol, cfg.max_iterations
+    half_h2 = 0.5 * h * h  # 0.5*h*h*k is (0.5*h*h)*k, bit for bit
     previous = None
-    for k in range(1, cfg.max_iterations + 1):
-        f_u = _call(problem.f, x_next, u)
-        k_u = _call(problem.kernel, x_next, u, x_next)
-        r = u - known - h * f_u - 0.5 * h * h * k_u
-        if abs(r) <= cfg.abs_tol + cfg.rel_tol * abs(u):
+    for k in range(1, cap + 1):
+        f_u = _call(f, x_next, u)
+        k_u = _call(kernel, x_next, u, x_next)
+        r = u - known - h * f_u - half_h2 * k_u
+        if abs(r) <= abs_tol + rel_tol * abs(u):
             return u, k_u, StepDiagnostics(iterations=k, last_residual=abs(r))
-        if k == cfg.max_iterations:
+        if k == cap:
             raise NoConvergence(iterations=k, last_residual=abs(r))
         d = 1.0
         if newton:
-            d = (1.0 - h * _call(problem.f_y, x_next, u)
-                 - 0.5 * h * h * _call(problem.kernel_y, x_next, u, x_next))
+            d = (1.0 - h * _call(f_y, x_next, u)
+                 - half_h2 * _call(kernel_y, x_next, u, x_next))
             if abs(d) < JACOBIAN_FLOOR:
                 raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
         u_next = u - r / d
@@ -366,7 +374,7 @@ def _march(problem: VideProblem, mesh: Mesh, method: Method,
     out[0] = problem.y0 if own else history[0]
     if cfg is None:
         cfg = ImplicitSolveConfig()
-    h = mesh.h
+    x0, h = mesh.x0, mesh.h
     nodes = mesh.nodes()
     running = not problem.kernel_depends_on_x
     implicit = method == Method.IMPLICIT
@@ -380,7 +388,7 @@ def _march(problem: VideProblem, mesh: Mesh, method: Method,
     total = first = last = 0.0
     diagnostics: list[StepDiagnostics] = []
     for i in range(mesh.n_steps):
-        x_i = mesh.node(i)
+        x_i = x0 + h * i  # bitwise mesh.node(i) and nodes[i]
         v_i = float(history[i])
         try:
             if running and (i == 0 or not implicit):
@@ -400,7 +408,7 @@ def _march(problem: VideProblem, mesh: Mesh, method: Method,
             v_next = v_i + h * _call(problem.f, x_i, v_i) + memory
             diag = _EXPLICIT_DIAGNOSTICS
             if implicit:
-                x_next = mesh.node(i + 1)
+                x_next = x0 + h * (i + 1)
                 if running:
                     row_total, row_first = total, first
                 else:

@@ -93,6 +93,19 @@ def test_local_command_recovered_matches_direct(outdir):
     assert float(np.max(np.abs(rec - direct))) <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["explicit", "implicit"])
+def test_local_without_exact_solution_refuses_before_running(outdir, capsys,
+                                                            monkeypatch, method):
+    runs = []
+    monkeypatch.setattr("videstep.cli.integrate", lambda *args: runs.append(args))
+    code = main(["local", "--problem", "cubic-kernel", "--xf", "5", "--h", "0.1",
+                 "--method", method])
+    assert code == 2
+    assert capsys.readouterr().err == "error: direct local errors need the exact solution\n"
+    assert runs == []
+    assert list(outdir.iterdir()) == []
+
+
 def test_errors_sidecar_records_the_reference(outdir):
     code = main(["errors", "--problem", "cubic-kernel", "--xf", "5", "--h", "0.1",
                  "--out", "e.csv"])
@@ -387,6 +400,73 @@ def test_bare_config_command_name_as_option_value(outdir):
                  "--out", "first.csv"]) == 0
     assert main(["--config", str(outdir / "first.meta.json"), "--out", "solve"]) == 0
     assert (outdir / "solve").read_bytes() == (outdir / "first.csv").read_bytes()
+
+
+# --- the parser of one command -------------------------------------------------
+
+_ACTION_FIELDS = ("option_strings", "dest", "type", "choices", "default", "nargs", "help")
+
+
+def _described(parser):
+    return [tuple(getattr(action, f) for f in _ACTION_FIELDS) for action in parser._actions]
+
+
+@pytest.mark.parametrize("command", sorted(_build_parser()[1]))
+def test_parser_of_one_command_matches_the_full_parser(command):
+    full_parser, full = _build_parser()
+    parser, subparsers = _build_parser(command)
+    assert list(subparsers) == list(full)
+    assert _described(subparsers[command]) == _described(full[command])
+    assert subparsers[command].format_help() == full[command].format_help()
+    assert parser.format_help() == full_parser.format_help()
+    # the other commands are there with their help option only
+    assert all(_described(p) == _described(subparsers[command])[:1]
+               for name, p in subparsers.items() if name != command)
+
+
+def _parse_exit(parse, argv):
+    """Exit code, stdout and stderr of an argparse exit while parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          pytest.raises(SystemExit) as excinfo):
+        parse(argv)
+    return excinfo.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--help"], "    figure              reproduce one canned experiment (1-5)"),
+    ([], "videstep: error: the following arguments are required: command"),
+    (["nosuch"], "videstep: error: argument command: invalid choice: 'nosuch' "
+                 "(choose from 'solve', 'errors', 'bound', 'local', 'order', "
+                 "'consistency', 'figure')"),
+    (["solve", "--h", "abc"], "videstep solve: error: argument --h: invalid float "
+                              "value: 'abc'"),
+    (["order", "--help"], "  --h-list H_LIST       comma-separated stepsizes, e.g. "
+                          "0.02,0.01,0.005"),
+    (["figure", "--nope"], "videstep: error: unrecognized arguments: --nope"),
+], ids=["help", "bare", "unknown-command", "bad-float", "command-help", "unknown-option"])
+def test_cli_messages_match_the_full_parser(outdir, monkeypatch, argv, line):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    code, out, err = _parse_exit(main, argv)
+    assert (code, out, err) == _parse_exit(_build_parser()[0].parse_args, argv)
+    assert code == (0 if "--help" in argv else 2)
+    assert line in (out or err).splitlines()
+
+
+def test_main_builds_the_options_of_the_named_command_only(outdir, monkeypatch):
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return _build_parser(command)
+
+    monkeypatch.setattr("videstep.cli._build_parser", recording)
+    assert main(["bound", "--problem", "pure-ode", "--xf", "1", "--h", "0.1",
+                 "--out", "b.csv"]) == 0
+    # a bare --config takes its command from the file, first
+    assert main(["--config", str(outdir / "b.meta.json"), "--out", "c.csv"]) == 0
+    assert built == ["bound", "bound"]
+    assert (outdir / "c.csv").read_bytes() == (outdir / "b.csv").read_bytes()
 
 
 # --- fuzzed command lines ------------------------------------------------------

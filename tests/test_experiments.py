@@ -239,6 +239,24 @@ def test_result_table_csv_roundtrips_doubles(tmp_path):
     assert np.all(back == values)
 
 
+@pytest.mark.parametrize("block_rows", [65536, 3])
+def test_result_table_csv_cells_pinned(tmp_path, monkeypatch, block_rows):
+    # the cells of every row, byte for byte: the i column by str(int(v)),
+    # the others by format(float(v), ".16e"), whatever the block size
+    monkeypatch.setattr("videstep.experiments.CSV_BLOCK_ROWS", block_rows)
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                       1.7976931348623157e308, 1.0 / 3.0])
+    columns = {"i": np.arange(values.size), "v": values, "w": values[::-1] * -1.0}
+    out = tmp_path / "cells.csv"
+    ResultTable(columns=columns, metadata={}).to_csv(out)
+    expected = "i,v,w\n" + "".join(
+        ",".join([str(int(i)), format(float(v), ".16e"), format(float(w), ".16e")]) + "\n"
+        for i, v, w in zip(*columns.values()))
+    assert out.read_bytes() == expected.encode()
+    assert "\n3,-0.0000000000000000e+00,0.0000000000000000e+00\n" in expected
+    assert "\n6,3.3333333333333331e-01,nan\n" in expected
+
+
 def test_result_table_json_payload(tmp_path):
     table = ResultTable(
         columns={"i": np.array([0, 1]), "v": np.array([0.5, 1.5])},

@@ -830,3 +830,98 @@ def test_seeded_steps_on_a_run_reproduce_it(problem_id, method, strategy):
     assert trajectory.overflow_at is None
     np.testing.assert_array_equal(seeded_steps(problem, mesh, method, trajectory.w, cfg),
                                   trajectory.w)
+
+
+# --- callbacks inside the implicit solve -------------------------------------------
+
+
+class SolveRefused(VidestepError):
+    pass
+
+
+def raising(exc_type, message):
+    def fail():
+        raise exc_type(message)
+    return fail
+
+
+# How the callback fails, and the type of the exception it raises.
+SOLVE_FAILURES = {
+    "raises": (raising(ValueError, "bad value"), ValueError),
+    "nan": (lambda: math.nan, None),
+    "videstep-error": (raising(SolveRefused, "refused"), SolveRefused),
+}
+
+
+def failing_in_solve(name, failure, x_bad):
+    """The test equation with callback ``name`` calling ``failure()`` on
+    its first call at abscissa x_bad, which with the implicit method is
+    inside the Newton solve of the step to x_bad. Returns the problem and
+    the list of (arguments, exception) of that call."""
+    problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
+    fn, seen = getattr(problem, name), []
+
+    def wrapped(x, *rest):
+        if x == x_bad and not seen:
+            seen.append([(x, *rest), None])
+            try:
+                return failure()
+            except Exception as exc:
+                seen[-1][1] = exc
+                raise
+        return fn(x, *rest)
+
+    return dataclasses.replace(problem, **{name: wrapped}), seen
+
+
+@pytest.mark.parametrize("failure", sorted(SOLVE_FAILURES))
+@pytest.mark.parametrize("name", ["f", "kernel", "f_y", "kernel_y"])
+def test_solve_callback_failure_contract(name, failure):
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    x_bad = mesh.node(3)
+    make, raised_type = SOLVE_FAILURES[failure]
+    problem, seen = failing_in_solve(name, make, x_bad)
+    with pytest.raises(VidestepError) as excinfo:
+        integrate(problem, mesh, Method.IMPLICIT)
+    [(args, cause)] = seen
+    # the solve's arguments: (x_{i+1}, u), and (x_{i+1}, u, x_{i+1}) for K and K_y
+    assert args[0] == x_bad and type(args[1]) is float
+    assert len(args) == (2 if name in ("f", "f_y") else 3)
+    assert excinfo.value.step_index == 3
+    if raised_type is SolveRefused:
+        assert excinfo.value is cause
+        return
+    assert type(excinfo.value) is StepEvaluationError
+    if raised_type is None:
+        assert str(excinfo.value) == f"callback returned non-finite value at {args}"
+        assert excinfo.value.__cause__ is None
+    else:
+        assert str(excinfo.value) == f"callback failed at {args}"
+        assert excinfo.value.__cause__ is cause and type(cause) is raised_type
+
+
+def test_implicit_newton_callback_counts_per_step():
+    # on the linear test equation every Newton solve takes two residual
+    # evaluations and one jacobian; per abscissa x_k the run calls f once
+    # in the predictor from x_k and twice in the solve to x_k, K once at
+    # x_0 for the running sum and twice per solve, f_y and K_y once per solve
+    problem = test_equation(TestEquationParams(lam=-1.0, gamma=-2.0))
+    mesh = make_mesh(0.0, 1.0, 0.01)
+    calls = {name: [0] * (mesh.n_steps + 1) for name in ("f", "kernel", "f_y", "kernel_y")}
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapped(x, *rest):
+            calls[name][round(x / mesh.h)] += 1
+            return fn(x, *rest)
+        return wrapped
+
+    counting = dataclasses.replace(problem, **{n: counted(n) for n in calls})
+    trajectory = integrate(counting, mesh, Method.IMPLICIT)
+    assert [d.iterations for d in trajectory.step_diagnostics] == [2] * mesh.n_steps
+    inner = mesh.n_steps - 1
+    assert calls["f"] == [1] + [3] * inner + [2]
+    assert calls["kernel"] == [1] + [2] * mesh.n_steps
+    assert calls["f_y"] == calls["kernel_y"] == [0] + [1] * mesh.n_steps
+    assert [sum(c) for c in calls.values()] == [300, 201, 100, 100]
