@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonPositiveStep, NonTilingStep, TooManySteps
+from .errors import NonPositiveStep, NonTilingStep, TooManySteps
 
 __all__ = [
     "VideProblem",
@@ -93,11 +93,6 @@ class Mesh:
     xf: float
     h: float
     n_steps: int
-
-    def node(self, i: int) -> float:
-        if not 0 <= i <= self.n_steps:
-            raise IndexOutOfRange(f"node index {i} outside 0..{self.n_steps}")
-        return self.x0 + i * self.h
 
     def nodes(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self.n_steps + 1)

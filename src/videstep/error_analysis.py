@@ -22,8 +22,8 @@ the recurrences (assuming Delta_0 = 0) read
     implicit:  Delta_{i+1} = eps_{i+1} + (h**2/D_{i+1})*s_i + aalpha_i*Delta_i.
 
 Running either recurrence backwards recovers the local errors from a
-global error curve; running it forwards gives the residual check that the
-identity actually holds on a given run.
+global error curve (recover_local_errors); running it forwards from
+Delta_0 = 0 rebuilds the global errors from the local ones.
 
 Bounding |Delta_i| by a geometric sum with uniform growth rate L and
 amplitude C_tilde (|eps_tilde_i| <= C_tilde*h**2) yields the three-case
@@ -46,7 +46,9 @@ whose largest magnitude makes the bound dominate the observed errors at
 every estimated node by construction.
 
 Every formula above that involves the jacobians is evaluated from one
-array evaluation of f_y and K_y over the nodes of the run.
+array evaluation of f_y and K_y over the nodes of the run, made as every
+callback evaluation over nodes is (steppers._on_nodes): NaN and ±inf
+values are kept.
 """
 
 from __future__ import annotations
@@ -68,13 +70,7 @@ from .errors import (
     SingularDenominator,
     ZeroError,
 )
-from .steppers import (
-    ImplicitSolveConfig,
-    _check_vector_call,
-    _map_calls,
-    integrate,
-    seeded_steps,
-)
+from .steppers import ImplicitSolveConfig, _on_nodes, integrate, seeded_steps
 
 __all__ = [
     "ErrorSource",
@@ -82,7 +78,6 @@ __all__ = [
     "BoundModel",
     "global_errors",
     "auto_reference",
-    "propagation_coefficients",
     "growth_rate_L",
     "amplitude_curve",
     "fit_bound",
@@ -91,8 +86,6 @@ __all__ = [
     "direct_local_errors",
     "pairwise_order",
     "endpoint_error",
-    "observed_order",
-    "propagation_residual",
 ]
 
 # |L| at or below this selects the Zero bound branch; below rounding noise
@@ -141,27 +134,6 @@ class BoundModel:
     h: float
 
 
-def _eval_on_nodes(fn, name: str, *args: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` elementwise over equal-length arrays of node data.
-
-    A function that takes arrays is called once, and its output is
-    checked against scalar calls as kernel rows are, so that one reducing
-    over its array argument raises KernelCallMismatch; a constant return
-    value is broadcast. A function that takes scalars only is called once
-    per node, as kernel rows are; its non-finite values are kept, and a
-    node where it raises ends in StepEvaluationError naming that node.
-    """
-    shape = args[0].shape
-    try:
-        out = np.asarray(fn(*args), dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
-    except (TypeError, ValueError):
-        return _map_calls(fn, args, finite=False)
-    _check_vector_call(fn, name, args, out)
-    return out
-
-
 def global_errors(trajectory: Trajectory, problem: VideProblem,
                   reference: Trajectory | None = None) -> np.ndarray:
     """Signed global errors Delta_i = w_i - y(x_i) per node.
@@ -181,7 +153,7 @@ def global_errors(trajectory: Trajectory, problem: VideProblem,
     w = trajectory.w
     nodes = trajectory.mesh.nodes()[: w.size]
     if problem.exact is not None:
-        return w - _eval_on_nodes(problem.exact, "exact", nodes)
+        return w - _on_nodes(problem.exact, "exact", (nodes,))
     if reference is None:
         raise MissingExact("problem has no exact solution and no reference run given")
     rmesh = reference.mesh
@@ -233,8 +205,8 @@ def _jacobians(problem: VideProblem, trajectory: Trajectory):
     w = trajectory.w
     h = trajectory.mesh.h
     nodes = trajectory.mesh.nodes()[: w.size]
-    fy = _eval_on_nodes(problem.f_y, "f_y", nodes, w)
-    ky = _eval_on_nodes(problem.kernel_y, "kernel_y", nodes, w, nodes)
+    fy = _on_nodes(problem.f_y, "f_y", (nodes, w))
+    ky = _on_nodes(problem.kernel_y, "kernel_y", (nodes, w, nodes))
     return nodes, fy, ky, 1.0 - h * fy - 0.5 * h * h * ky
 
 
@@ -246,6 +218,10 @@ def _nonsingular(den: np.ndarray, nodes: np.ndarray, what: str) -> None:
 
 
 def _coefficients(trajectory: Trajectory, nodes, fy, ky, den) -> np.ndarray:
+    """Per-node amplification factors along a run, from _jacobians.
+    Explicit: alpha_i for every node. Implicit: aalpha_i pairs node i with
+    D_{i+1}, so the final entry is NaN; SingularDenominator when some
+    |D_{i+1}| is at or below 1e-14."""
     h = trajectory.mesh.h
     if trajectory.method == Method.EXPLICIT:
         return 1.0 + h * fy + 0.5 * h * h * ky
@@ -253,24 +229,6 @@ def _coefficients(trajectory: Trajectory, nodes, fy, ky, den) -> np.ndarray:
     alphas = np.full(ky.size, np.nan)
     alphas[:-1] = (1.0 + h * h * ky[:-1]) / den[1:]
     return alphas
-
-
-def propagation_coefficients(problem: VideProblem,
-                             trajectory: Trajectory) -> np.ndarray:
-    """Per-node amplification factors along a run.
-
-    Explicit: alpha_i = 1 + h*f_y + (h**2/2)*K_y at node i, for every
-    node. Implicit: aalpha_i = (1 + h**2*K_y at node i) / D_{i+1}, pairing
-    node i with i+1, so the final entry is NaN.
-
-    Raises
-    ------
-    MissingJacobian
-        The problem has no f_y or no kernel_y.
-    SingularDenominator
-        Some implicit D_{i+1} is at or below 1e-14 in magnitude.
-    """
-    return _coefficients(trajectory, *_jacobians(problem, trajectory))
 
 
 def growth_rate_L(problem: VideProblem, trajectory: Trajectory) -> float:
@@ -408,24 +366,6 @@ def recover_local_errors(deltas, problem: VideProblem,
     return eps
 
 
-def propagation_residual(deltas, local, problem: VideProblem,
-                         trajectory: Trajectory) -> np.ndarray:
-    """Run the propagation recurrence forwards and report its defect.
-
-    r_{i+1} = Delta_{i+1} - eps_{i+1} - (memory term) - alpha_i*Delta_i,
-    with the memory term as in recover_local_errors. Machine-zero for
-    problems linear in y; O(h*max|Delta|**2) otherwise.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    local = np.asarray(local, dtype=float)
-    if deltas.size != local.size:
-        raise LengthMismatch(f"{deltas.size} deltas vs {local.size} local errors")
-    recovered = recover_local_errors(deltas, problem, trajectory)
-    residual = np.zeros(deltas.size)
-    residual[1:] = recovered[1:] - local[1:]
-    return residual
-
-
 def direct_local_errors(problem: VideProblem, mesh: Mesh, method: Method,
                         cfg: ImplicitSolveConfig | None = None) -> np.ndarray:
     """Local errors measured directly: one step from exact history, minus exact.
@@ -439,7 +379,7 @@ def direct_local_errors(problem: VideProblem, mesh: Mesh, method: Method,
     if problem.exact is None:
         raise MissingExact("direct local errors need the exact solution")
     check_step_count(mesh.n_steps)
-    y = _eval_on_nodes(problem.exact, "exact", mesh.nodes())
+    y = _on_nodes(problem.exact, "exact", (mesh.nodes(),))
     eps = seeded_steps(problem, mesh, method, y, cfg) - y
     eps[0] = 0.0
     return eps
@@ -473,15 +413,3 @@ def endpoint_error(problem: VideProblem, x_d: float, h: float, method: Method,
     if problem.exact is None:
         reference = auto_reference(problem, trajectory, cfg)
     return float(global_errors(trajectory, problem, reference)[-1])
-
-
-def observed_order(problem: VideProblem, x_d: float, h1: float, h2: float,
-                   method: Method, cfg: ImplicitSolveConfig | None = None,
-                   x0: float = 0.0) -> float:
-    """Observed convergence order from two runs compared at the node x_d.
-
-    Both stepsizes must tile [x0, x_d].
-    """
-    return pairwise_order(endpoint_error(problem, x_d, h1, method, cfg, x0),
-                          endpoint_error(problem, x_d, h2, method, cfg, x0),
-                          h1, h2)

@@ -8,7 +8,6 @@ __all__ = [
     "NonTilingStep",
     "TooManySteps",
     "NonFiniteInitialValue",
-    "IndexOutOfRange",
     "InvalidSolveConfig",
     "StepEvaluationError",
     "KernelCallMismatch",
@@ -45,18 +44,16 @@ class NonFiniteInitialValue(VidestepError):
     """The initial value y0 is infinite or NaN."""
 
 
-class IndexOutOfRange(VidestepError):
-    """Node index outside 0..n for this mesh."""
-
-
 class InvalidSolveConfig(VidestepError, ValueError):
     """Implicit-solve settings outside their domain: a tolerance that is not
-    positive (NaN included) or an iteration cap below 1. It is also a
+    positive (NaN included) or an iteration cap that is not an integer of
+    at least 1. It is also a
     ValueError, the built-in type for an argument outside its domain."""
 
 
 class StepEvaluationError(VidestepError):
-    """A user-supplied callback (f, K, or a jacobian) failed or returned non-finite."""
+    """A user-supplied callback (f, K, a jacobian or the exact solution) failed,
+    or returned a value a step cannot use: NaN, or ±inf where it must be finite."""
 
 
 class KernelCallMismatch(VidestepError):

@@ -43,7 +43,7 @@ on what the problem declares:
 - ``kernel_depends_on_x=False``: the row at outer node m+1 is the row at
   m plus one entry, so the loop keeps the running sum
   P_i = sum_{j<=i} K(x_j, v_j, x_j), O(n) per run: one kernel evaluation
-  per node, or one row over a given history before the first step. On
+  per node, or one row over a given history in the first step. On
   the implicit path a run takes the new entry from the last residual
   evaluation, at the accepted u.
 - otherwise (the default, and the only correct path for kernels that
@@ -54,15 +54,21 @@ on what the problem declares:
   call.
 
 A full row is one vector call when the kernel takes arrays and one scalar
-call per node when it does not. A run decides which once: the first
-vector row with two distinct history values is compared with scalar
-calls at a few nodes, so that a kernel reducing over its array argument
-(say ``np.max(y)``) is rejected instead of being broadcast to a wrong row.
-A scalar row is one C-level ``map`` of the kernel over the row, collected
-by ``np.fromiter``: one kernel call per entry and no Python frame of this
-module in between. The kernel receives x_m as a float and each w_j and
-x_j as the NumPy float element of its array; the row is then checked for
-non-finite entries as a whole.
+call per node when it does not (see ``_on_nodes``, which evaluates every
+user callback over nodes, the error analysis's included). A run decides
+which once: the first vector row with two distinct history values is
+compared with scalar calls at a few nodes, so that a kernel reducing over
+its array argument (say ``np.max(y)``) is rejected instead of being
+broadcast to a wrong row. A scalar row is one C-level ``map`` of the
+kernel over the row, collected by ``np.fromiter``; the kernel receives
+x_m as a float and each w_j and x_j as the NumPy float element of its
+array.
+
+Every kernel value that enters a trapezium row, whether a running-sum
+entry, a vector row or a scalar row, follows one rule: NaN raises
+StepEvaluationError naming its (x, y, t), and ±inf is kept, so that a run
+ends at the overflowing node. Inside the implicit solve, and for f, every
+callback value must be finite.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -135,7 +142,8 @@ class ImplicitSolveConfig:
     Raises
     ------
     InvalidSolveConfig
-        A tolerance is not positive (NaN included), or max_iterations < 1.
+        A tolerance is not positive (NaN included), or max_iterations is
+        not an integer of at least 1.
     """
 
     rel_tol: float = 1e-12
@@ -145,73 +153,41 @@ class ImplicitSolveConfig:
 
     def __post_init__(self):
         # Written as not (x > 0) so that NaN tolerances are rejected too.
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.max_iterations >= 1):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0
+                and isinstance(self.max_iterations, Integral) and self.max_iterations >= 1):
             raise InvalidSolveConfig(
-                "require rel_tol > 0, abs_tol > 0, max_iterations >= 1; got "
+                "require rel_tol > 0, abs_tol > 0, integer max_iterations >= 1; got "
                 f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}, "
                 f"max_iterations={self.max_iterations}")
 
 
 def _evaluate(fn, *args) -> float:
-    """Evaluate a user callback at scalar arguments. A failure becomes a
-    StepEvaluationError; a non-finite result is returned as it is."""
+    """A user callback at scalar arguments, as a float, whatever its value.
+    A failure becomes a StepEvaluationError; a VidestepError passes through."""
     try:
         return float(fn(*args))
     except VidestepError:
         raise
     except Exception as exc:
-        raise StepEvaluationError(f"callback failed at {args}") from exc
+        raise _failure("failed", args) from exc
 
 
-def _call(fn, *args) -> float:
-    """_evaluate that also refuses a non-finite result, in one frame."""
+def _call(fn, *args, inf_ok: bool = False) -> float:
+    """_evaluate that also refuses NaN and, unless ``inf_ok``, an infinite
+    result, in one frame."""
     try:
         value = float(fn(*args))
     except VidestepError:
         raise
     except Exception as exc:
-        raise StepEvaluationError(f"callback failed at {args}") from exc
-    if not math.isfinite(value):
-        raise StepEvaluationError(f"callback returned non-finite value at {args}")
+        raise _failure("failed", args) from exc
+    if not math.isfinite(value) and not (inf_ok and value == value):
+        raise _failure("returned non-finite value", args)
     return value
 
 
-def _map_calls(fn, args: tuple, finite: bool = True) -> np.ndarray:
-    """``fn`` at each entry of the array arguments of ``args``, scalar
-    arguments repeated, as one C-level map: no Python frame of this
-    package per entry. ``fn`` sees the array elements (NumPy floats) and
-    is called once per entry.
-
-    With ``finite`` a non-finite value is a failure. Without it the
-    values are accepted as they are; each is then converted by float(),
-    so that None raises as in _evaluate instead of reading as NaN.
-
-    Raises
-    ------
-    StepEvaluationError
-        ``fn`` raised at an entry, or returned a non-finite value there
-        with ``finite``; the message names the arguments of the first such
-        entry and the error is chained from its cause. Found by calling
-        ``fn`` entry by entry, on this failure path only.
-    """
-    n = next(a.size for a in args if np.ndim(a))
-    calls = map(fn, *[a if np.ndim(a) else repeat(a, n) for a in args])
-    try:
-        out = np.fromiter(calls if finite else map(float, calls), dtype=float, count=n)
-    except VidestepError:
-        raise
-    except Exception as exc:
-        cause = exc
-    else:
-        if not finite or np.isfinite(out).all():
-            return out
-        cause = None
-    each = _call if finite else _evaluate
-    for j in range(n):
-        each(fn, *[a[j] if np.ndim(a) else a for a in args])
-    raise StepEvaluationError(
-        "callback failed when called over a row, but not when called again "
-        "entry by entry") from cause
+def _failure(what: str, args: tuple) -> StepEvaluationError:
+    return StepEvaluationError(f"callback {what} at {tuple(map(float, args))}")
 
 
 def _trapezium(h: float, total: float, first: float, last: float) -> float:
@@ -221,12 +197,12 @@ def _trapezium(h: float, total: float, first: float, last: float) -> float:
     return 0.5 * h * h * (2.0 * total - first - last)
 
 
-class _KernelForm:
-    """Whether one run's kernel takes history rows as arrays.
+class _CallForm:
+    """Whether a callback takes arrays, decided once per run for kernel rows.
 
-    ``vector`` is None while undecided, True once a vector row with two
-    distinct history values has matched scalar calls, and False once a
-    vector call has failed; rows are then built node by node.
+    ``vector`` is None while undecided, True once a vector call with two
+    distinct values per array argument has matched scalar calls, and False
+    once a vector call has failed; the callback is then mapped over entries.
     """
 
     __slots__ = ("vector",)
@@ -264,7 +240,7 @@ def _check_vector_call(fn, name: str, args: tuple, out: np.ndarray) -> bool:
             picks.update((lo, hi))
             spread = spread and a[lo] != a[hi]
     for j in sorted(picks):
-        scalar = _evaluate(fn, *[a[j] if np.ndim(a) else a for a in args])
+        scalar = _evaluate(fn, *_entry(args, j))
         if not _agree(float(out[j]), scalar):
             raise KernelCallMismatch(
                 f"{name} called on arrays gives {float(out[j])!r} at entry {j}, "
@@ -273,42 +249,76 @@ def _check_vector_call(fn, name: str, args: tuple, out: np.ndarray) -> bool:
     return spread
 
 
-def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
-                nodes: np.ndarray, form: _KernelForm | None = None) -> np.ndarray:
-    """Evaluate K(x_outer, values[j], nodes[j]) for all j, vectorised when possible.
+def _on_nodes(fn, name: str, args: tuple, form: _CallForm | None = None,
+              nan_ok: bool = True) -> np.ndarray:
+    """``fn`` at each entry of the array arguments of ``args``, scalar
+    arguments repeated: how every user callback is evaluated over nodes.
 
-    ``form`` carries the call form across the rows of one run (see
-    _KernelForm); without it the form is decided afresh for this row.
-
-    Raises
-    ------
-    KernelCallMismatch
-        The vector row disagrees with scalar calls of the kernel.
+    - A function that takes arrays gets one vector call, and a constant
+      return value is broadcast. While ``form`` is undecided (a fresh one
+      when None) the output is compared with scalar calls
+      (_check_vector_call), so that a reducing function raises
+      KernelCallMismatch.
+    - A TypeError or ValueError from the vector call means scalars only:
+      ``fn`` is then called once per entry by one C-level ``map``, with no
+      Python frame of this package in between, on the NumPy float
+      elements of the arrays.
+    - A VidestepError passes through. Any other exception becomes a
+      StepEvaluationError chained from it, which for the ``map`` names the
+      first failing entry, found by calling ``fn`` entry by entry again.
+    - ±inf is returned as it is. NaN is too with ``nan_ok``; without it,
+      NaN raises StepEvaluationError naming the first NaN entry.
     """
     if form is None:
-        form = _KernelForm()
+        form = _CallForm()
+    n = next(a.size for a in args if np.ndim(a))
     if form.vector is not False:
         try:
-            row = np.asarray(problem.kernel(x_outer, values, nodes), dtype=float)
-            if row.shape != values.shape:
-                row = np.broadcast_to(row, values.shape)
+            out = np.asarray(fn(*args), dtype=float)
+            if out.shape != (n,):
+                out = np.broadcast_to(out, (n,))
         except (TypeError, ValueError):
-            # Kernel written for scalars only; build rows node by node.
             form.vector = False
         except VidestepError:
             raise
         except Exception as exc:
-            raise StepEvaluationError(f"kernel failed at x={x_outer}") from exc
+            raise StepEvaluationError(f"{name} failed when called on arrays") from exc
         else:
-            if form.vector is None and _check_vector_call(
-                    problem.kernel, "kernel", (x_outer, values, nodes), row):
+            if form.vector is None and _check_vector_call(fn, name, args, out):
                 form.vector = True
-            return row
-    return _map_calls(problem.kernel, (x_outer, values, nodes))
+    if form.vector is False:
+        calls = map(fn, *[a if np.ndim(a) else repeat(a, n) for a in args])
+        try:
+            # float() per value only where NaN is kept, so that None raises.
+            out = np.fromiter(map(float, calls) if nan_ok else calls, dtype=float, count=n)
+        except VidestepError:
+            raise
+        except Exception as exc:
+            for j in range(n):
+                _evaluate(fn, *_entry(args, j))
+            raise StepEvaluationError(
+                "callback failed when called over a row, but not when called "
+                "again entry by entry") from exc
+    if not nan_ok:
+        nan = np.isnan(out)
+        if nan.any():
+            raise _failure("returned non-finite value", _entry(args, int(nan.argmax())))
+    return out
+
+
+def _entry(args: tuple, j: int) -> tuple:
+    return tuple(a[j] if np.ndim(a) else a for a in args)
+
+
+def _kernel_row(problem: VideProblem, x_outer: float, values: np.ndarray,
+                nodes: np.ndarray, form: _CallForm | None = None) -> np.ndarray:
+    """K(x_outer, values[j], nodes[j]) for all j, by _on_nodes: NaN raises,
+    ±inf is kept. ``form`` carries the call form across the rows of one run."""
+    return _on_nodes(problem.kernel, "kernel", (x_outer, values, nodes), form, nan_ok=False)
 
 
 def _row_sums(problem: VideProblem, x_outer: float, values: np.ndarray,
-              nodes: np.ndarray, form: _KernelForm) -> tuple[float, float, float]:
+              nodes: np.ndarray, form: _CallForm) -> tuple[float, float, float]:
     """Sum, first entry and last entry of the kernel row at x_outer."""
     row = _kernel_row(problem, x_outer, values, nodes, form)
     return float(np.sum(row)), float(row[0]), float(row[-1])
@@ -378,17 +388,14 @@ def _march(problem: VideProblem, mesh: Mesh, method: Method,
     nodes = mesh.nodes()
     running = not problem.kernel_depends_on_x
     implicit = method == Method.IMPLICIT
-    form = _KernelForm()
-    if running and not own:
-        # K ignores x, so one row holds every entry K(., v_j, x_j).
-        row = _kernel_row(problem, mesh.x0, history, nodes, form)
+    form = _CallForm()
     # Sum, first and last entry of the kernel row at outer node i over
     # v_0..v_i: the memory of the explicit step from node i, and of the
     # implicit predictor.
     total = first = last = 0.0
     diagnostics: list[StepDiagnostics] = []
     for i in range(mesh.n_steps):
-        x_i = x0 + h * i  # bitwise mesh.node(i) and nodes[i]
+        x_i = x0 + h * i  # bitwise nodes[i]
         v_i = float(history[i])
         try:
             if running and (i == 0 or not implicit):
@@ -396,8 +403,13 @@ def _march(problem: VideProblem, mesh: Mesh, method: Method,
                 # implicit path takes it at the end of the step instead).
                 # A run takes it at history[i], a NumPy float, so an
                 # overflowing kernel yields inf and ends the run.
-                last = (_evaluate(problem.kernel, x_i, history[i], x_i) if own
-                        else float(row[i]))
+                if own:
+                    last = _call(problem.kernel, x_i, history[i], x_i, inf_ok=True)
+                else:
+                    if i == 0:
+                        # K ignores x, so one row holds every entry K(., v_j, x_j).
+                        row = _kernel_row(problem, x0, history, nodes, form)
+                    last = float(row[i])
                 total += last
                 if i == 0:
                     first = last
@@ -416,8 +428,8 @@ def _march(problem: VideProblem, mesh: Mesh, method: Method,
                                                         nodes[: i + 1], form)
                 if not own:
                     # The new entry K(x_{i+1}, v_{i+1}, x_{i+1}) of a seed.
-                    last = (float(row[i + 1]) if running else
-                            _call(problem.kernel, x_next, history[i + 1], nodes[i + 1]))
+                    last = (float(row[i + 1]) if running else _call(
+                        problem.kernel, x_next, history[i + 1], nodes[i + 1], inf_ok=True))
                 known = v_i + _trapezium(h, row_total, row_first, 0.0)
                 v_next, k_u, diag = _solve(problem, x_next, known, v_next, h, cfg)
                 if own:

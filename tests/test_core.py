@@ -7,7 +7,6 @@ import pytest
 
 from videstep import (
     MAX_STEPS,
-    IndexOutOfRange,
     Mesh,
     Method,
     NonPositiveStep,
@@ -38,8 +37,8 @@ def test_make_mesh_accepts_inexact_tiling():
 def test_make_mesh_shifted_origin():
     mesh = make_mesh(1.0, 3.0, 0.25)
     assert mesh.n_steps == 8
-    assert mesh.node(0) == 1.0
-    assert mesh.node(8) == pytest.approx(3.0)
+    assert mesh.nodes()[0] == 1.0
+    assert mesh.nodes()[8] == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1])
@@ -110,15 +109,7 @@ def test_nodes_are_multiplicative_not_cumulative():
     assert nodes.size == 1001
     assert nodes[-1] == pytest.approx(100.0, abs=1e-12)
     i = 700
-    assert mesh.node(i) == 0.0 + i * 0.1
-
-
-def test_node_index_bounds():
-    mesh = make_mesh(0.0, 1.0, 0.1)
-    with pytest.raises(IndexOutOfRange):
-        mesh.node(-1)
-    with pytest.raises(IndexOutOfRange):
-        mesh.node(11)
+    assert nodes[i] == 0.0 + i * 0.1
 
 
 def test_mesh_is_frozen():

@@ -36,14 +36,12 @@ from videstep import (
     growth_rate_L,
     integrate,
     make_mesh,
-    observed_order,
     pairwise_order,
-    propagation_coefficients,
-    propagation_residual,
     pure_ode,
     recover_local_errors,
     test_equation,
 )
+from videstep.error_analysis import _coefficients, _jacobians
 
 
 def sign_change_count(values):
@@ -199,6 +197,11 @@ def test_global_errors_rejects_misaligned_reference():
 # --- propagation coefficients -----------------------------------------------
 
 
+def coefficients(problem, trajectory):
+    """The per-node amplification factors, from one evaluation of the jacobians."""
+    return _coefficients(trajectory, *_jacobians(problem, trajectory))
+
+
 def one_step_trajectory(problem, h, w0, w1, method):
     """A hand-built run of one step of size h from x = 0."""
     return Trajectory(mesh=Mesh(x0=0.0, xf=h, h=h, n_steps=1),
@@ -209,7 +212,7 @@ def test_explicit_coefficient_worked_example(oscillatory_problem):
     # 1 + h*lam + (h**2/2)*gamma at h=0.005: 1 - 0.005 - 0.000025
     trajectory = integrate(oscillatory_problem, make_mesh(0.0, 0.01, 0.005),
                            Method.EXPLICIT)
-    alphas = propagation_coefficients(oscillatory_problem, trajectory)
+    alphas = coefficients(oscillatory_problem, trajectory)
     assert alphas[0] == pytest.approx(0.994975, rel=1e-12)
 
 
@@ -217,14 +220,14 @@ def test_explicit_coefficient_stiff_magnitude(stiff_params):
     # 1 - 5 - 0.25 = -4.25: |alpha| > 1 is the blow-up mechanism
     problem = test_equation(stiff_params)
     trajectory = integrate(problem, make_mesh(0.0, 0.1, 0.05), Method.EXPLICIT)
-    alphas = propagation_coefficients(problem, trajectory)
+    alphas = coefficients(problem, trajectory)
     assert alphas[0] == pytest.approx(-4.25, rel=1e-12)
 
 
 def test_implicit_coefficient_worked_example(oscillatory_problem):
     trajectory = one_step_trajectory(oscillatory_problem, 0.005, 2.0, 1.99,
                                      Method.IMPLICIT)
-    alpha, last = propagation_coefficients(oscillatory_problem, trajectory)
+    alpha, last = coefficients(oscillatory_problem, trajectory)
     expected = (1.0 - 5e-5) / (1.0 + 0.005 + 2.5e-5)
     assert alpha == pytest.approx(expected, rel=1e-12)
     assert alpha == pytest.approx(0.994950, rel=1e-6)
@@ -235,7 +238,7 @@ def test_implicit_coefficient_stiff_is_contractive(stiff_params):
     # (1 - 0.5)/(1 + 5 + 0.25) = 0.08: stable where explicit is not
     problem = test_equation(stiff_params)
     trajectory = one_step_trajectory(problem, 0.05, 2.0, 1.0, Method.IMPLICIT)
-    alphas = propagation_coefficients(problem, trajectory)
+    alphas = coefficients(problem, trajectory)
     assert alphas[0] == pytest.approx(0.08, rel=1e-12)
 
 
@@ -247,15 +250,15 @@ def test_implicit_coefficient_singular_denominator():
                           kernel_y=lambda x, y, t: 0.0)
     trajectory = one_step_trajectory(problem, h, 1.0, 1.0, Method.IMPLICIT)
     with pytest.raises(SingularDenominator):
-        propagation_coefficients(problem, trajectory)
+        coefficients(problem, trajectory)
 
 
 def test_coefficients_along_trajectory(oscillatory_problem):
     mesh = make_mesh(0.0, 1.0, 0.1)
     explicit = integrate(oscillatory_problem, mesh, Method.EXPLICIT)
     implicit = integrate(oscillatory_problem, mesh, Method.IMPLICIT)
-    a = propagation_coefficients(oscillatory_problem, explicit)
-    aa = propagation_coefficients(oscillatory_problem, implicit)
+    a = coefficients(oscillatory_problem, explicit)
+    aa = coefficients(oscillatory_problem, implicit)
     # constant jacobians make every entry identical
     np.testing.assert_allclose(a, a[0], rtol=1e-14)
     assert np.isnan(aa[-1])
@@ -299,7 +302,7 @@ def test_estimate_c_tilde_synthetic():
     L = 2.0
     curve = np.abs(amplitude_curve(deltas, L, mesh))
     assert np.isnan(curve[0])  # excluded 0/0 node
-    expected = [abs(deltas[i]) / abs(math.exp(L * mesh.node(i)) - 1.0)
+    expected = [abs(deltas[i]) / abs(math.exp(L * mesh.nodes()[i]) - 1.0)
                 for i in range(1, 5)]
     np.testing.assert_allclose(curve[1:], expected, rtol=1e-12)
     assert np.nanmax(curve) == pytest.approx(max(expected), rel=1e-12)
@@ -450,30 +453,11 @@ def test_recovery_matches_direct_on_linear_problem(oscillatory_problem, method):
     assert float(np.max(np.abs(recovered - direct))) <= 1e-10
 
 
-@pytest.mark.parametrize("method", [Method.EXPLICIT, Method.IMPLICIT])
-def test_propagation_residual_machine_zero_on_linear(oscillatory_problem, method):
-    mesh = make_mesh(0.0, 5.0, 5e-3)
-    trajectory = integrate(oscillatory_problem, mesh, method)
-    deltas = global_errors(trajectory, oscillatory_problem)
-    direct = direct_local_errors(oscillatory_problem, mesh, method)
-    residual = propagation_residual(deltas, direct, oscillatory_problem, trajectory)
-    assert float(np.max(np.abs(residual))) <= 1e-10
-
-
-def test_propagation_residual_zero_inputs(oscillatory_problem):
+def test_recovery_zero_inputs(oscillatory_problem):
     mesh = make_mesh(0.0, 1.0, 0.1)
     trajectory = integrate(oscillatory_problem, mesh, Method.EXPLICIT)
-    residual = propagation_residual(np.zeros(11), np.zeros(11),
-                                    oscillatory_problem, trajectory)
-    assert np.all(residual == 0.0)
-
-
-def test_propagation_residual_length_mismatch(oscillatory_problem):
-    mesh = make_mesh(0.0, 1.0, 0.1)
-    trajectory = integrate(oscillatory_problem, mesh, Method.EXPLICIT)
-    with pytest.raises(LengthMismatch):
-        propagation_residual(np.zeros(11), np.zeros(5),
-                             oscillatory_problem, trajectory)
+    eps = recover_local_errors(np.zeros(11), oscillatory_problem, trajectory)
+    assert np.all(eps == 0.0)
 
 
 def test_recovered_locals_scale_quadratically_on_nonlinear_problem():
@@ -529,7 +513,7 @@ def test_array_jacobians_match_scalar_loop_exactly(method):
     deltas = global_errors(trajectory, problem, auto_reference(problem, trajectory))
     alphas, eps = scalar_loop_analysis(problem, trajectory, deltas)
     assert np.unique(alphas[np.isfinite(alphas)]).size > 10
-    assert np.array_equal(propagation_coefficients(problem, trajectory), alphas,
+    assert np.array_equal(coefficients(problem, trajectory), alphas,
                           equal_nan=True)
     assert np.array_equal(recover_local_errors(deltas, problem, trajectory), eps)
 
@@ -552,7 +536,7 @@ def test_reducing_kernel_y_is_rejected():
     trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
     deltas = np.zeros(trajectory.w.size)
     with pytest.raises(KernelCallMismatch):
-        propagation_coefficients(problem, trajectory)
+        coefficients(problem, trajectory)
     with pytest.raises(KernelCallMismatch):
         growth_rate_L(problem, trajectory)
     with pytest.raises(KernelCallMismatch):
@@ -568,12 +552,12 @@ def test_constant_and_scalar_only_jacobians_are_accepted(method):
     mesh = make_mesh(0.0, 1.0, 0.1)
     trajectory = integrate(builtin, mesh, method)
     deltas = global_errors(trajectory, builtin)
-    expected = propagation_coefficients(builtin, trajectory)
+    expected = coefficients(builtin, trajectory)
     scalar_only = dataclasses.replace(
         builtin, f_y=lambda x, y: -math.exp(0.0 * y),
         kernel_y=lambda x, y, t: 0.0 * math.exp(y))
     for problem in (dataclasses.replace(builtin, f_y=lambda x, y: -1.0), scalar_only):
-        np.testing.assert_array_equal(propagation_coefficients(problem, trajectory),
+        np.testing.assert_array_equal(coefficients(problem, trajectory),
                                       expected)
         np.testing.assert_array_equal(recover_local_errors(deltas, problem, trajectory),
                                       recover_local_errors(deltas, builtin, trajectory))
@@ -592,7 +576,7 @@ def test_scalar_only_exact_failure_names_the_node():
     trajectory = integrate(problem, mesh, Method.EXPLICIT)
     with pytest.raises(StepEvaluationError) as excinfo:
         global_errors(trajectory, problem)
-    assert str(excinfo.value) == f"callback failed at {(mesh.nodes()[6],)}"
+    assert str(excinfo.value) == f"callback failed at {(float(mesh.nodes()[6]),)}"
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
     with pytest.raises(StepEvaluationError):
         direct_local_errors(problem, mesh, Method.IMPLICIT)
@@ -612,6 +596,33 @@ def test_scalar_only_exact_keeps_nonfinite_values_and_rejects_none():
     with pytest.raises(StepEvaluationError) as excinfo:
         global_errors(trajectory, nothing)
     assert isinstance(excinfo.value.__cause__, TypeError)
+
+
+@pytest.mark.parametrize("name", ["exact", "f_y", "kernel_y"])
+def test_vector_callback_failure_is_typed(name):
+    # an exception other than TypeError or ValueError from the array call
+    # is not a scalars-only signal: it ends in StepEvaluationError, chained
+    causes = []
+
+    def divide(*args):
+        causes.append(ZeroDivisionError("division by zero"))
+        raise causes[-1]
+
+    builtin = pure_ode(y0=1.0)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(builtin, mesh, Method.EXPLICIT)
+    deltas = global_errors(trajectory, builtin)
+    problem = dataclasses.replace(builtin, **{name: divide})
+    runs = [lambda: recover_local_errors(deltas, problem, trajectory),
+            lambda: growth_rate_L(problem, trajectory)]
+    if name == "exact":
+        runs = [lambda: global_errors(trajectory, problem),
+                lambda: direct_local_errors(problem, mesh, Method.EXPLICIT)]
+    for run in runs:
+        with pytest.raises(StepEvaluationError) as excinfo:
+            run()
+        assert excinfo.value.__cause__ is causes[-1]
+        assert str(excinfo.value) == f"{name} failed when called on arrays"
 
 
 def test_scalar_only_jacobian_failure_is_typed():
@@ -724,5 +735,7 @@ def test_endpoint_error_rejects_overflowed_run():
 
 @pytest.mark.parametrize("method", [Method.EXPLICIT, Method.IMPLICIT])
 def test_observed_order_first_order_on_test_equation(oscillatory_problem, method):
-    p = observed_order(oscillatory_problem, 5.0, 0.01, 0.005, method)
+    h1, h2 = 0.01, 0.005
+    p = pairwise_order(endpoint_error(oscillatory_problem, 5.0, h1, method),
+                       endpoint_error(oscillatory_problem, 5.0, h2, method), h1, h2)
     assert 0.85 <= p <= 1.15

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and every
-private top-level name it defines is read somewhere in the package.
+private top-level name it defines, and every name in its ``__all__``, is
+read somewhere in the package.
 
 The package namespace (``__init__.py``) re-exports names and is skipped.
 Only the standard library's ``ast`` is used, so no linter is needed.
@@ -58,11 +59,31 @@ def references(tree):
             yield from (alias.name for alias in node.names)
 
 
+def package_references():
+    return {name for module in PACKAGE.glob("*.py")
+            for name in references(ast.parse(module.read_text()))}
+
+
+def public_names(tree):
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_has_a_caller(path):
     # a private helper that nothing in the package reads is dead code
-    used = {name for module in PACKAGE.glob("*.py")
-            for name in references(ast.parse(module.read_text()))}
+    used = package_references()
     dead = [name for name in private_definitions(ast.parse(path.read_text()))
             if name not in used]
     assert dead == [], f"{path.name} defines {dead} and nothing in the package uses them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_has_a_caller(path):
+    # a public name that only tests call is dead code with a promise attached
+    used = package_references()
+    dead = [name for name in public_names(ast.parse(path.read_text())) if name not in used]
+    assert dead == [], f"{path.name} exports {dead} and nothing in the package uses them"

@@ -211,7 +211,7 @@ def test_implicit_step_residual_contract():
     cfg = ImplicitSolveConfig()
     u = step_from(problem, values, mesh, Method.IMPLICIT, cfg)
     h = mesh.h
-    x2 = mesh.node(2)
+    x2 = mesh.nodes()[2]
     kernel_row = params.gamma * np.array([2.0, 1.87])
     residual = (u - values[1] - h * params.lam * (u - 1.0)
                 - 0.5 * h * h * (2.0 * kernel_row.sum() - kernel_row[0]
@@ -307,6 +307,8 @@ def test_implicit_two_cycle_stops_at_once():
     {"max_iterations": 0},
     {"rel_tol": math.nan},
     {"abs_tol": math.nan},
+    {"max_iterations": 2.5},
+    {"max_iterations": math.inf},
 ])
 def test_solve_config_validation(kwargs):
     # typed as a package error, and still a ValueError
@@ -396,7 +398,7 @@ def euler_explicit(f, y0, mesh):
     w = np.empty(mesh.n_steps + 1)
     w[0] = y0
     for i in range(mesh.n_steps):
-        w[i + 1] = w[i] + mesh.h * f(mesh.node(i), w[i])
+        w[i + 1] = w[i] + mesh.h * f(mesh.nodes()[i], w[i])
     return w
 
 
@@ -755,7 +757,8 @@ def first_failing_row(method, mesh, j):
     from the run of the same problem with a harmless kernel, and the step
     index of the step that builds that row."""
     w = integrate(SCALAR_X_KERNEL, mesh, method).w
-    point = (mesh.node(j + 1), w[j], mesh.nodes()[j])
+    x = mesh.nodes()
+    point = (float(x[j + 1]), float(w[j]), float(x[j]))
     # explicit: the row at x_{j+1} is the memory of step j+2; implicit: the
     # row at x_{j+1} over w_0..w_j is the known part of step j+1
     return point, (j + 2 if method == Method.EXPLICIT else j + 1)
@@ -764,7 +767,7 @@ def first_failing_row(method, mesh, j):
 @pytest.mark.parametrize("method", list(Method))
 def test_scalar_row_failure_names_the_node(method):
     mesh = make_mesh(0.0, 1.0, 0.1)
-    problem = failing_at(mesh.node(3), lambda: 1.0 / 0.0)
+    problem = failing_at(mesh.nodes()[3], lambda: 1.0 / 0.0)
     point, step = first_failing_row(method, mesh, 3)
     with pytest.raises(StepEvaluationError) as excinfo:
         integrate(problem, mesh, method)
@@ -776,7 +779,7 @@ def test_scalar_row_failure_names_the_node(method):
 @pytest.mark.parametrize("method", list(Method))
 def test_scalar_row_nonfinite_entry_names_the_node(method):
     mesh = make_mesh(0.0, 1.0, 0.1)
-    problem = failing_at(mesh.node(3), lambda: math.nan)
+    problem = failing_at(mesh.nodes()[3], lambda: math.nan)
     point, step = first_failing_row(method, mesh, 3)
     with pytest.raises(StepEvaluationError) as excinfo:
         integrate(problem, mesh, method)
@@ -800,9 +803,67 @@ def test_scalar_row_passes_package_errors_through(method):
 
     mesh = make_mesh(0.0, 1.0, 0.1)
     with pytest.raises(Refused) as excinfo:
-        integrate(failing_at(mesh.node(3), refuse), mesh, method)
+        integrate(failing_at(mesh.nodes()[3], refuse), mesh, method)
     # the kernel's own exception, from its first and only failing call
     assert excinfo.value is raised[0] and len(raised) == 1
+
+
+# --- one rule for kernel values in a trapezium row --------------------------------
+
+
+def bad_entry_paths(t_bad, value):
+    """y' = -y + int -y(t) dt, with K = ``value`` at the inner node t_bad,
+    on the three ways a row is built: the running sum, vector rows and
+    scalar rows. K ignores x, so all three solve the same equation."""
+    def kernel(x, y, t):
+        return np.where(t == t_bad, value, -y)
+
+    base = VideProblem(f=lambda x, y: -y, kernel=kernel, y0=1.0,
+                       f_y=lambda x, y: -1.0, kernel_y=lambda x, y, t: -1.0)
+    vector = dataclasses.replace(base, kernel_depends_on_x=True)
+    return {"running": dataclasses.replace(base, kernel_depends_on_x=False),
+            "vector": vector,
+            "scalar": dataclasses.replace(vector, kernel=scalar_only(kernel))}
+
+
+def raised(run):
+    with pytest.raises(StepEvaluationError) as excinfo:
+        run()
+    return str(excinfo.value), excinfo.value.step_index
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_nan_row_entry_raises_alike_on_every_path(method):
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    x = mesh.nodes()
+    paths = bad_entry_paths(x[3], math.nan)
+    outcomes = {name: raised(lambda: integrate(problem, mesh, method))
+                for name, problem in paths.items()}
+    message, step = outcomes["running"]
+    assert outcomes == dict.fromkeys(paths, (message, step))
+    if method == Method.EXPLICIT:
+        # K(x_3, w_3, x_3) enters the memory of the step to node 4
+        w = integrate(bad_entry_paths(-1.0, math.nan)["vector"], mesh, method).w
+        point = (float(x[3]), float(w[3]), float(x[3]))
+        assert (message, step) == (f"callback returned non-finite value at {point}", 4)
+    else:
+        # the solve to node 3 evaluates K(x_3, u, x_3) first
+        assert message.startswith(f"callback returned non-finite value at ({float(x[3])}, ")
+        assert message.endswith(f", {float(x[3])})") and step == 3
+    # on a given history the rule holds too, with the step index set
+    history = np.cos(x)
+    for problem in paths.values():
+        text, step = raised(lambda: seeded_steps(problem, mesh, method, history))
+        assert text.endswith(f", {float(history[3])}, {float(x[3])})") and step is not None
+
+
+def test_minus_inf_row_entry_ends_every_explicit_path_as_a_divergence():
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    runs = {name: integrate(problem, mesh, Method.EXPLICIT)
+            for name, problem in bad_entry_paths(mesh.nodes()[3], -math.inf).items()}
+    assert {name: run.overflow_at for name, run in runs.items()} == dict.fromkeys(runs, 4)
+    for run in runs.values():
+        np.testing.assert_array_equal(run.w, runs["running"].w)
 
 
 # --- one stepping loop ------------------------------------------------------------
@@ -878,7 +939,7 @@ def failing_in_solve(name, failure, x_bad):
 @pytest.mark.parametrize("name", ["f", "kernel", "f_y", "kernel_y"])
 def test_solve_callback_failure_contract(name, failure):
     mesh = make_mesh(0.0, 1.0, 0.1)
-    x_bad = mesh.node(3)
+    x_bad = mesh.nodes()[3]
     make, raised_type = SOLVE_FAILURES[failure]
     problem, seen = failing_in_solve(name, make, x_bad)
     with pytest.raises(VidestepError) as excinfo:
