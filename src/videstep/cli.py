@@ -1,20 +1,22 @@
 """Command-line interface: solve, error analysis, and experiment reproduction.
 
-Commands map onto the library surface: solve runs a trajectory, errors
-emits global errors, bound fits and evaluates the global-error envelope,
-order and consistency run the stepsize studies, local emits recovered
-next to directly measured local errors, and figure reproduces one of the
-five canned experiments.
+Commands map onto the library surface: solve, errors, bound and local run
+one trajectory through run_experiment and emit its trajectory, global
+errors, fitted error bound, or recovered next to directly measured local
+errors; order and consistency run the stepsize studies; and figure
+reproduces one of the five figures, each a preset of run_experiment on
+the test equation (experiments.FIGURES).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure (no convergence, or divergence without --allow-divergence).
 
-A JSON config file (--config) supplies any subset of the flags; explicit
-flags override file values, unknown keys are rejected, and each value is
-checked with its flag's type and choices. The metadata
-sidecar emitted next to every CSV contains a "config" mapping that
-reproduces the run, so `videstep --config out.meta.json` reruns it.
-Relative output paths land in $VIDESTEP_OUT_DIR when that is set.
+Options resolve in layers, by config key: flags, then a JSON config file
+(--config), then the figure's preset (figure only), then the defaults.
+Unknown config keys are rejected, and each config value is checked with
+its flag's type and choices. The metadata sidecar emitted next to every
+CSV names the run and contains a "config" mapping that reproduces it, so
+`videstep --config out.meta.json` reruns it. Relative output paths land
+in $VIDESTEP_OUT_DIR when that is set.
 """
 
 from __future__ import annotations
@@ -23,23 +25,12 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from .core import Method, make_mesh
-from .error_analysis import (
-    ErrorSource,
-    auto_reference,
-    direct_local_errors,
-    global_errors,
-    recover_local_errors,
-)
+from .core import Method, VideProblem, make_mesh
 from .errors import (
     DegenerateDenominator,
-    MissingExact,
     NoConvergence,
     SingularDenominator,
     SingularJacobian,
@@ -48,17 +39,13 @@ from .errors import (
     ZeroError,
 )
 from .experiments import (
+    FIGURES,
     ResultTable,
-    _bound,
-    _divergence,
-    _solve_config,
-    _solver,
-    figure_spec,
     run_consistency_study,
     run_experiment,
     run_order_study,
 )
-from .steppers import ImplicitSolveConfig, integrate
+from .steppers import ImplicitSolveConfig
 from .test_problems import PROBLEM_IDS, TestEquationParams, builtin_problem
 
 # Errors of arithmetic origin exit 3; everything else about how the tool
@@ -66,8 +53,9 @@ from .test_problems import PROBLEM_IDS, TestEquationParams, builtin_problem
 _NUMERICAL_ERRORS = (NoConvergence, SingularJacobian, SingularDenominator,
                      DegenerateDenominator, ZeroError, StepEvaluationError)
 
-# Values of the options that neither a flag nor the config file sets, by
-# config key; the solver settings default to ImplicitSolveConfig's own.
+# Values of the options that neither a flag, the config file nor a
+# figure's preset sets, by config key; the solver settings default to
+# ImplicitSolveConfig's own.
 _DEFAULTS = {
     "problem": "test-equation",
     "x0": 0.0,
@@ -76,6 +64,11 @@ _DEFAULTS = {
     "allow_divergence": False,
     **asdict(ImplicitSolveConfig()),
 }
+
+
+# Options a command cannot run without; solve, errors, bound and local
+# need xf and h, which a figure's preset gives.
+_REQUIRED = {"order": ("x_d", "h_list"), "consistency": ("xf", "h_list"), "figure": ("id",)}
 
 
 class UsageError(Exception):
@@ -205,31 +198,25 @@ def _stepsizes(text: str) -> list[float]:
 
 
 def _resolve(args: argparse.Namespace, options: dict) -> dict:
-    """Merge flag values over config-file values over defaults, by config key.
-
-    Keys the user actually set (by flag or config file, not by default)
-    are collected under the "_explicit" entry; the figure command needs
-    the distinction because its per-figure defaults differ from the
-    global ones.
-    """
+    """Merge, by config key, flag values over config-file values over
+    defaults: the figure's preset in FIGURES, then _DEFAULTS."""
     cfg = _read_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(options) - {"command"})
     if unknown:
         raise UsageError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     opts = {}
-    explicit = set()
     for key, action in options.items():
         value = getattr(args, action.dest)
         if value is None and cfg.get(key) is not None:
             value = _config_value(key, action, cfg[key])
-        if value is None:
-            value = _DEFAULTS.get(key)
-        else:
-            explicit.add(key)
         opts[key] = value
+    defaults = _DEFAULTS
+    if opts.get("id") is not None:
+        defaults = {**_DEFAULTS, **FIGURES[opts["id"]].options}
+    opts = {key: defaults.get(key) if value is None else value
+            for key, value in opts.items()}
     if opts.get("h_list") is not None:
         opts["h_list"] = _stepsizes(opts["h_list"])
-    opts["_explicit"] = explicit
     return opts
 
 
@@ -240,28 +227,55 @@ def _require(opts: dict, *keys: str) -> None:
                          + ", ".join("--" + k.replace("_", "-") for k in missing))
 
 
-def _problem_from(opts: dict) -> dict:
-    """The problem arguments of builtin_problem and of the studies: the
-    test-equation coefficients, or the initial value of a manufactured
-    problem."""
-    pid = opts["problem"]
-    if pid == "test-equation":
+def _problem(problem_id: str, opts: dict) -> VideProblem:
+    """The built-in problem: the test equation with its coefficients, or a
+    manufactured problem with its initial value."""
+    if problem_id == "test-equation":
         if opts.get("y0") is not None:
             raise UsageError("--y0 does not apply to test-equation (y0 = 2 by definition)")
         _require(opts, "lambda", "gamma")
-        return {"params": TestEquationParams(lam=opts["lambda"], gamma=opts["gamma"])}
+        return builtin_problem(problem_id,
+                               TestEquationParams(lam=opts["lambda"], gamma=opts["gamma"]))
     if opts.get("lambda") is not None or opts.get("gamma") is not None:
-        raise UsageError(f"--lambda/--gamma do not apply to {pid}")
-    return {} if opts.get("y0") is None else {"y0": opts["y0"]}
+        raise UsageError(f"--lambda/--gamma do not apply to {problem_id}")
+    return builtin_problem(problem_id, **({} if opts.get("y0") is None else {"y0": opts["y0"]}))
 
 
 def _config_mapping(command: str, opts: dict) -> dict:
     """Reproduction config recorded in the metadata sidecar."""
     out = {"command": command}
-    for key in sorted(k for k in opts if not k.startswith("_")):
+    for key in sorted(opts):
         if opts[key] is not None and key not in ("out", "allow_divergence"):
             out[key] = opts[key]
     return out
+
+
+def _run(command: str, opts: dict) -> ResultTable:
+    """The table of ``command``, its metadata headed by the names of the
+    run (command, figure kind, problem and its parameters) and closed by
+    the config block that reproduces it."""
+    _require(opts, *_REQUIRED.get(command, ("xf", "h")))
+    # A figure has no --problem: its problem is the test equation.
+    problem_id = opts.get("problem", _DEFAULTS["problem"])
+    problem = _problem(problem_id, opts)
+    method = Method(opts["method"])
+    cfg = ImplicitSolveConfig(**{f.name: opts[f.name] for f in fields(ImplicitSolveConfig)})
+    if command == "order":
+        table = run_order_study(problem, opts["x_d"], opts["h_list"], method, cfg, opts["x0"])
+    elif command == "consistency":
+        table = run_consistency_study(problem, opts["h_list"], method, cfg,
+                                      opts["x0"], opts["xf"])
+    else:
+        columns = FIGURES[opts["id"]].columns if command == "figure" else command
+        mesh = make_mesh(opts["x0"], opts["xf"], opts["h"])
+        table = run_experiment(columns, problem, mesh, method, cfg)
+    names = {"command": command}
+    if command == "figure":
+        names["kind"] = f"figure-{opts['id']}"
+    names["problem"] = problem_id
+    names.update((k, opts[k]) for k in ("lambda", "gamma", "y0") if opts.get(k) is not None)
+    table.metadata = {**names, **table.metadata, "config": _config_mapping(command, opts)}
+    return table
 
 
 def _emit(table: ResultTable, opts: dict, default_name: str) -> int:
@@ -280,88 +294,6 @@ def _emit(table: ResultTable, opts: dict, default_name: str) -> int:
         print("run diverged; pass --allow-divergence to accept", file=sys.stderr)
         return 3
     return 0
-
-
-def _run_command(command: str, opts: dict) -> int:
-    """Shared pipeline for solve/errors/bound/local."""
-    _require(opts, "xf", "h")
-    problem = builtin_problem(opts["problem"], **_problem_from(opts))
-    mesh = make_mesh(opts["x0"], opts["xf"], opts["h"])
-    method = Method(opts["method"])
-    cfg = _solve_config(opts)
-    if command == "local" and problem.exact is None:
-        # Refused before the run, as direct_local_errors would refuse after it.
-        raise MissingExact("direct local errors need the exact solution")
-    started = time.perf_counter()
-    trajectory = integrate(problem, mesh, method, cfg)
-    nodes = mesh.nodes()[: trajectory.w.size]
-    index = np.arange(trajectory.w.size)
-    metadata = {
-        "command": command,
-        "problem": opts["problem"],
-        "method": method.value,
-        "h": mesh.h,
-        "x0": mesh.x0,
-        "xf": mesh.xf,
-        **_divergence(trajectory),
-        "solver": _solver(trajectory),
-        "config": _config_mapping(command, opts),
-    }
-
-    if command == "solve":
-        columns = {"i": index, "x": nodes, "w": trajectory.w}
-    else:
-        reference = None
-        if problem.exact is None:
-            reference = auto_reference(problem, trajectory, cfg)
-        deltas = global_errors(trajectory, problem, reference)
-        if reference is None:
-            metadata["source"] = ErrorSource.AGAINST_EXACT
-        else:
-            metadata.update(source=ErrorSource.AGAINST_REFERENCE_RUN,
-                            reference_h=reference.mesh.h,
-                            reference_error_estimate=reference.error_estimate)
-        metadata["max_abs_delta"] = float(np.max(np.abs(deltas)))
-        if command == "errors":
-            columns = {"i": index, "x": nodes, "w": trajectory.w,
-                       "y": trajectory.w - deltas, "delta": deltas}
-        elif command == "bound":
-            fitted, curve, bound, _ = _bound(problem, trajectory, deltas)
-            metadata.update(fitted)
-            columns = {"i": index, "x": nodes, "delta_abs": np.abs(deltas),
-                       "c_curve": curve, "bound": bound}
-        else:  # local
-            recovered = recover_local_errors(deltas, problem, trajectory)
-            direct = direct_local_errors(problem, mesh, method, cfg)[: trajectory.w.size]
-            columns = {"i": index, "x": nodes,
-                       "epsilon_recovered": recovered, "epsilon_direct": direct}
-
-    metadata["runtime_s"] = time.perf_counter() - started
-    table = ResultTable(columns=columns, metadata=metadata)
-    return _emit(table, opts, f"{command}.csv")
-
-
-def _cmd_study(command: str, opts: dict) -> int:
-    """The order and consistency studies over a stepsize ladder."""
-    _require(opts, "x_d" if command == "order" else "xf", "h_list")
-    args = dict(_problem_from(opts), method=Method(opts["method"]),
-                cfg=_solve_config(opts), x0=opts["x0"])
-    if command == "order":
-        table = run_order_study(opts["problem"], opts["x_d"], opts["h_list"], **args)
-    else:
-        table = run_consistency_study(opts["problem"], opts["h_list"], xf=opts["xf"], **args)
-    table.metadata["config"] = _config_mapping(command, opts)
-    return _emit(table, opts, f"{command}.csv")
-
-
-def _cmd_figure(opts: dict) -> int:
-    _require(opts, "id")
-    overrides = {("lam" if key == "lambda" else key): value
-                 for key, value in opts.items()
-                 if key in opts["_explicit"]
-                 and key not in ("id", "out", "format", "allow_divergence")}
-    table = run_experiment(figure_spec(opts["id"], overrides))
-    return _emit(table, opts, f"fig{opts['id']}.csv")
 
 
 def _config_command(argv: list[str]) -> str | None:
@@ -391,11 +323,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         command = args.command
         opts = _resolve(args, _options(subparsers[command]))
-        if command in ("order", "consistency"):
-            return _cmd_study(command, opts)
-        if command == "figure":
-            return _cmd_figure(opts)
-        return _run_command(command, opts)
+        name = f"fig{opts['id']}" if command == "figure" else command
+        return _emit(_run(command, opts), opts, f"{name}.csv")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if command is not None:

@@ -63,7 +63,7 @@ class VideProblem:
         kernel_y(x, y, t).
     exact : callable, optional
         Analytic solution x -> y(x) when one is known; must satisfy
-        exact(x0) = y0.
+        exact(x0) = y0, which the error analysis checks.
     kernel_depends_on_x : bool, default True
         Whether K depends on its outer abscissa x. This states a property
         of the equation: when it is False the solvers evaluate K once per

@@ -64,6 +64,7 @@ from .core import Mesh, Method, Trajectory, VideProblem, check_step_count, make_
 from .errors import (
     ConfigurationWarning,
     DegenerateDenominator,
+    InconsistentExact,
     LengthMismatch,
     MissingExact,
     MissingJacobian,
@@ -96,6 +97,10 @@ ZERO_L_TOL = 1e-14
 # Nodes whose estimation denominator |exp((x-x0)L) - 1| falls below this
 # are skipped (0/0 at the left endpoint).
 DENOMINATOR_FLOOR = 1e-12
+
+# exact(x0) may differ from y0 by this much, relative to max(1, |y0|):
+# rounding in the closed form, not a solution that starts elsewhere.
+EXACT_START_RTOL = 1e-12
 
 # Stepsize divisors k of the runs at h/k behind a reference, each level
 # halving the step of the one before (see auto_reference): the last two
@@ -134,6 +139,16 @@ class BoundModel:
     h: float
 
 
+def _exact_on(problem: VideProblem, nodes: np.ndarray) -> np.ndarray:
+    """The exact solution at ``nodes``, whose first entry is x0, checked
+    to start at y0 to within EXACT_START_RTOL."""
+    y = _on_nodes(problem.exact, "exact", (nodes,))
+    if not abs(y[0] - problem.y0) <= EXACT_START_RTOL * max(1.0, abs(problem.y0)):
+        raise InconsistentExact(f"exact solution is {float(y[0])!r} at x0 = {float(nodes[0])!r}, "
+                                f"not y0 = {problem.y0!r}")
+    return y
+
+
 def global_errors(trajectory: Trajectory, problem: VideProblem,
                   reference: Trajectory | None = None) -> np.ndarray:
     """Signed global errors Delta_i = w_i - y(x_i) per node.
@@ -147,13 +162,15 @@ def global_errors(trajectory: Trajectory, problem: VideProblem,
     ------
     MissingExact
         Neither an exact solution nor a reference trajectory is available.
+    InconsistentExact
+        The exact solution does not start at y0 (see EXACT_START_RTOL).
     LengthMismatch
         The reference trajectory does not align with this run's nodes.
     """
     w = trajectory.w
     nodes = trajectory.mesh.nodes()[: w.size]
     if problem.exact is not None:
-        return w - _on_nodes(problem.exact, "exact", (nodes,))
+        return w - _exact_on(problem, nodes)
     if reference is None:
         raise MissingExact("problem has no exact solution and no reference run given")
     rmesh = reference.mesh
@@ -374,12 +391,13 @@ def direct_local_errors(problem: VideProblem, mesh: Mesh, method: Method,
     the implicit M solves its step equation seeded with the true history.
     Entry 0 is 0. O(h**2) per entry on smooth problems. Costs O(n_steps)
     kernel evaluations when the problem declares
-    ``kernel_depends_on_x=False``, one row per step otherwise.
+    ``kernel_depends_on_x=False``, one row per step otherwise. Raises
+    InconsistentExact when the exact solution does not start at y0.
     """
     if problem.exact is None:
         raise MissingExact("direct local errors need the exact solution")
     check_step_count(mesh.n_steps)
-    y = _on_nodes(problem.exact, "exact", (mesh.nodes(),))
+    y = _exact_on(problem, mesh.nodes())
     eps = seeded_steps(problem, mesh, method, y, cfg) - y
     eps[0] = 0.0
     return eps

@@ -16,6 +16,7 @@ __all__ = [
     "SingularDenominator",
     "DegenerateDenominator",
     "MissingExact",
+    "InconsistentExact",
     "MissingJacobian",
     "LengthMismatch",
     "ZeroError",
@@ -87,6 +88,12 @@ class DegenerateDenominator(VidestepError):
 
 class MissingExact(VidestepError):
     """The requested operation needs an exact solution the problem does not carry."""
+
+
+class InconsistentExact(VidestepError):
+    """The exact solution does not start at the initial value: exact(x0)
+    differs from y0 by more than rounding, as when a built-in solution
+    that starts at x = 0 meets a mesh that does not."""
 
 
 class MissingJacobian(VidestepError):

@@ -1,7 +1,12 @@
-"""Experiment drivers: error-curve reproductions, order and consistency studies.
+"""Experiments: the single-run pipeline, the figure presets, and the
+order and consistency studies.
 
-Five canned error-curve experiments exercise the full pipeline on the
-linear test equation:
+run_experiment runs one trajectory on a problem and mesh and emits one of
+six column layouts: the four single-run commands ("solve", "errors",
+"bound", "local") and two figure layouts ("signed-bound", "recovery").
+
+A figure is a preset of that pipeline on the linear test equation
+(FIGURES): the defaults of its options, by config key, and its layout.
 
     1  lam=-100, gamma=-200, h=5e-3, explicit on [0, 5] — stable stiff run;
        |Delta_i|, the amplitude curve and the bound, which plateaus hard
@@ -17,32 +22,38 @@ linear test equation:
     5  lam=-1, gamma=-2, h=5e-3, explicit on [0, 5] — global errors next
        to the local errors recovered from them.
 
+Figures 1-3 emit the "bound" columns, so each equals `bound` on the test
+equation with its options; figure 4 emits them signed, and figure 5 the
+Delta of `errors` with the recovered epsilon of `local`.
+
 The order study (run_order_study) measures endpoint global errors across
 a stepsize ladder (expected slope 1); the consistency study
 (run_consistency_study) measures max direct local errors (expected
 slope 2).
 
 Results are ResultTable objects: named columns plus a metadata dictionary
-carrying the fitted bound data and a config mapping that reproduces the
-run. Tables serialize to CSV (one row per node, scientific notation, 17
-significant digits) with a JSON metadata sidecar, or to a single JSON
-document.
+of what the run computed (the command line adds the names of the run and
+the config that reproduces it). Tables serialize to CSV (one row per
+node, scientific notation, 17 significant digits) with a JSON metadata
+sidecar, or to a single JSON document.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Mesh, Method, Trajectory, VideProblem, make_mesh
+from .core import Mesh, Method, VideProblem, make_mesh
 from .error_analysis import (
     ErrorSource,
     amplitude_curve,
+    auto_reference,
     direct_local_errors,
     endpoint_error,
     error_bound,
@@ -51,15 +62,13 @@ from .error_analysis import (
     pairwise_order,
     recover_local_errors,
 )
-from .errors import UnknownProblem
-from .steppers import ImplicitSolveConfig, SolveStrategy, integrate
-from .test_problems import TestEquationParams, builtin_problem, test_equation
+from .errors import MissingExact
+from .steppers import ImplicitSolveConfig, integrate
 
 __all__ = [
     "ExperimentKind",
-    "ExperimentSpec",
+    "FIGURES",
     "ResultTable",
-    "figure_spec",
     "run_experiment",
     "run_order_study",
     "run_consistency_study",
@@ -73,6 +82,9 @@ DIVERGENCE_THRESHOLD = 1e10
 # Rows of a CSV table formatted as one piece of text.
 CSV_BLOCK_ROWS = 65536
 
+# The column layouts of run_experiment.
+LAYOUTS = ("solve", "errors", "bound", "local", "signed-bound", "recovery")
+
 
 class ExperimentKind(str, Enum):
     FIGURE1 = "figure-1"
@@ -84,40 +96,30 @@ class ExperimentKind(str, Enum):
     CONSISTENCY_STUDY = "consistency-study"
 
 
-# Per-figure defaults: lam, gamma, h, x0, xf, method. Endpoints are
-# reproduction parameters: the divergent run stops at xf=2 because longer
-# runs are meaningless there, and the oscillatory run extends to xf=6 so
-# the error's third zero crossing (near x = 5*pi/sqrt(7) ~ 5.94) is on
-# the mesh.
-_FIGURE_DEFAULTS = {
-    1: (-100.0, -200.0, 5e-3, 0.0, 5.0, Method.EXPLICIT),
-    2: (-100.0, -200.0, 5e-2, 0.0, 2.0, Method.EXPLICIT),
-    3: (1.0, 2.0, 5e-3, 0.0, 5.0, Method.EXPLICIT),
-    4: (-1.0, -2.0, 5e-3, 0.0, 6.0, Method.IMPLICIT),
-    5: (-1.0, -2.0, 5e-3, 0.0, 5.0, Method.EXPLICIT),
+class Figure(NamedTuple):
+    """A figure as a preset of run_experiment: the defaults of its options
+    by config key, and its column layout."""
+
+    options: dict
+    columns: str
+
+
+# Endpoints are reproduction parameters: the divergent run stops at xf=2
+# because longer runs are meaningless there, and the oscillatory run
+# extends to xf=6 so the error's third zero crossing (near
+# x = 5*pi/sqrt(7) ~ 5.94) is on the mesh.
+FIGURES = {
+    1: Figure({"lambda": -100.0, "gamma": -200.0, "h": 5e-3, "x0": 0.0, "xf": 5.0,
+               "method": "explicit"}, "bound"),
+    2: Figure({"lambda": -100.0, "gamma": -200.0, "h": 5e-2, "x0": 0.0, "xf": 2.0,
+               "method": "explicit"}, "bound"),
+    3: Figure({"lambda": 1.0, "gamma": 2.0, "h": 5e-3, "x0": 0.0, "xf": 5.0,
+               "method": "explicit"}, "bound"),
+    4: Figure({"lambda": -1.0, "gamma": -2.0, "h": 5e-3, "x0": 0.0, "xf": 6.0,
+               "method": "implicit"}, "signed-bound"),
+    5: Figure({"lambda": -1.0, "gamma": -2.0, "h": 5e-3, "x0": 0.0, "xf": 5.0,
+               "method": "explicit"}, "recovery"),
 }
-_FIGURE_KINDS = {k: ExperimentKind(f"figure-{k}") for k in _FIGURE_DEFAULTS}
-_FIGURE_IDS = {kind: k for k, kind in _FIGURE_KINDS.items()}
-
-# Test-equation coefficients of a study that is given none.
-_STUDY_PARAMS = TestEquationParams(lam=-1.0, gamma=-2.0)
-
-# How each solver setting is read from an override map; settings that are
-# not overridden keep ImplicitSolveConfig's defaults.
-_SOLVER_SETTINGS = {"rel_tol": float, "abs_tol": float, "max_iterations": int,
-                    "strategy": SolveStrategy}
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment to run: kind, test-equation coefficients, mesh, and
-    an override map (method, solver settings) on top of the kind's
-    defaults."""
-
-    kind: ExperimentKind
-    params: TestEquationParams
-    mesh: Mesh
-    overrides: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -188,164 +190,94 @@ def _jsonable(value):
     return value
 
 
-def figure_spec(figure_id: int, overrides: dict | None = None) -> ExperimentSpec:
-    """Spec for one of the five canned experiments, with optional overrides
-    for lambda, gamma, h, x0, xf (mesh-level) and method, strategy,
-    rel_tol, abs_tol, max_iterations (run-level)."""
-    if figure_id not in _FIGURE_DEFAULTS:
-        raise UnknownProblem(f"no figure experiment with id {figure_id}")
-    overrides = dict(overrides or {})
-    lam, gamma, h, x0, xf, _ = _FIGURE_DEFAULTS[figure_id]
-    params = TestEquationParams(
-        lam=float(overrides.pop("lam", lam)),
-        gamma=float(overrides.pop("gamma", gamma)),
-    )
-    mesh = make_mesh(
-        float(overrides.pop("x0", x0)),
-        float(overrides.pop("xf", xf)),
-        float(overrides.pop("h", h)),
-    )
-    return ExperimentSpec(kind=_FIGURE_KINDS[figure_id], params=params,
-                          mesh=mesh, overrides=overrides)
+def run_experiment(columns: str, problem: VideProblem, mesh: Mesh, method: Method,
+                   cfg: ImplicitSolveConfig | None = None) -> ResultTable:
+    """Integrate ``problem`` on ``mesh``, then emit the ``columns`` layout:
 
+    - "solve": i, x, w;
+    - "errors": i, x, w, y, delta;
+    - "bound": i, x, delta_abs, the amplitude curve |C~_i h/L| and the
+      fitted bound;
+    - "local": i, x, recovered and direct local errors;
+    - "signed-bound": i, x, delta, the signed amplitude curve and the
+      bound as +U and -U;
+    - "recovery": i, x, delta and the recovered local errors.
 
-def _solve_config(overrides: dict) -> ImplicitSolveConfig:
-    return ImplicitSolveConfig(**{key: read(overrides[key])
-                                  for key, read in _SOLVER_SETTINGS.items()
-                                  if key in overrides})
-
-
-def _divergence(trajectory: Trajectory) -> dict:
-    """Metadata entries recording whether and where a run diverged."""
-    return {
-        "overflow_at": trajectory.overflow_at,
-        "diverged": (trajectory.overflow_at is not None
-                     or float(np.max(np.abs(trajectory.w))) > DIVERGENCE_THRESHOLD),
-    }
-
-
-def _solver(trajectory: Trajectory) -> dict:
-    """The "solver" metadata block, from the run's step diagnostics:
-    iterations per step (max, mean) and the worst final residual."""
-    iterations = [d.iterations for d in trajectory.step_diagnostics]
-    return {"max_iterations": max(iterations),
-            "mean_iterations": sum(iterations) / len(iterations),
-            "worst_residual": max(d.last_residual for d in trajectory.step_diagnostics)}
-
-
-def _bound(problem: VideProblem, trajectory: Trajectory,
-           deltas: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray, float]:
-    """The fitted bound of a run: its metadata entries, the estimation
-    curve, the bound at the emitted nodes, and the growth rate L."""
-    model, curve = fit_bound(problem, trajectory, deltas)
-    bound = error_bound(model, trajectory.mesh)[: deltas.size]
-    metadata = {
-        "L": model.L,
-        "sign_case": model.sign_case,
-        "c_tilde_max": float(np.nanmax(curve)),
-        "c_tilde_amplitude": model.C_tilde,
-    }
-    return metadata, curve, bound, model.L
-
-
-def _run_config(figure_id: int, spec: ExperimentSpec, method: Method,
-                cfg: ImplicitSolveConfig) -> dict:
-    """Config mapping that reproduces this run through the CLI."""
-    return {
-        "command": "figure",
-        "id": figure_id,
-        "lambda": spec.params.lam,
-        "gamma": spec.params.gamma,
-        "x0": spec.mesh.x0,
-        "xf": spec.mesh.xf,
-        "h": spec.mesh.h,
-        "method": method.value,
-        "strategy": cfg.strategy.value,
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-        "max_iterations": cfg.max_iterations,
-    }
-
-
-def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    """Execute one canned figure experiment: integrate, then the error pipeline.
-
-    Emits the per-node curves of the figure (see the module docstring);
-    the divergent one is expected to end in recorded divergence, not
-    failure, and emits all pre-divergence rows. The study kinds have
-    their own drivers, run_order_study and run_consistency_study.
+    Delta is measured against the exact solution, or against the
+    auto_reference of a problem without one. The metadata records the
+    run (method, mesh, divergence, a "solver" block from the step
+    diagnostics), what Delta was measured against, and the fitted bound.
+    A diverged run emits its rows up to the overflow.
 
     Raises
     ------
-    UnknownProblem
-        ``spec.kind`` is not a figure experiment.
+    ValueError
+        ``columns`` is not one of LAYOUTS.
+    MissingExact
+        "local" on a problem without exact solution, before integrating.
     """
-    figure_id = _FIGURE_IDS.get(spec.kind)
-    if figure_id is None:
-        raise UnknownProblem(f"{spec.kind.value} is not a figure experiment")
-    default_method = _FIGURE_DEFAULTS[figure_id][5]
-    method = Method(spec.overrides.get("method", default_method))
-    cfg = _solve_config(spec.overrides)
-
+    if columns not in LAYOUTS:
+        raise ValueError(f"no column layout {columns!r}; expected one of {LAYOUTS}")
+    if columns == "local" and problem.exact is None:
+        # Refused before the run, as direct_local_errors would refuse after it.
+        raise MissingExact("direct local errors need the exact solution")
     started = time.perf_counter()
-    problem = test_equation(spec.params)
-    trajectory = integrate(problem, spec.mesh, method, cfg)
-    deltas = global_errors(trajectory, problem)
-    n_emitted = trajectory.w.size
-    nodes = spec.mesh.nodes()[:n_emitted]
-    index = np.arange(n_emitted)
-
+    trajectory = integrate(problem, mesh, method, cfg)
+    w = trajectory.w
+    diagnostics = trajectory.step_diagnostics
+    iterations = [d.iterations for d in diagnostics]
+    table = {"i": np.arange(w.size), "x": mesh.nodes()[: w.size]}
     metadata = {
-        "kind": spec.kind,
-        "problem": "test-equation",
-        "lambda": spec.params.lam,
-        "gamma": spec.params.gamma,
-        "h": spec.mesh.h,
-        "x0": spec.mesh.x0,
-        "xf": spec.mesh.xf,
         "method": method,
-        "source": ErrorSource.AGAINST_EXACT,
-        "max_abs_delta": float(np.max(np.abs(deltas))),
-        **_divergence(trajectory),
-        "solver": _solver(trajectory),
-        "config": _run_config(figure_id, spec, method, cfg),
+        "h": mesh.h,
+        "x0": mesh.x0,
+        "xf": mesh.xf,
+        "overflow_at": trajectory.overflow_at,
+        "diverged": (trajectory.overflow_at is not None
+                     or float(np.max(np.abs(w))) > DIVERGENCE_THRESHOLD),
+        "solver": {"max_iterations": max(iterations),
+                   "mean_iterations": sum(iterations) / len(iterations),
+                   "worst_residual": max(d.last_residual for d in diagnostics)},
     }
 
-    if figure_id == 5:
-        epsilon = recover_local_errors(deltas, problem, trajectory)
-        columns = {"i": index, "x": nodes, "delta": deltas, "epsilon": epsilon}
-        metadata["max_abs_epsilon"] = float(np.max(np.abs(epsilon)))
+    if columns == "solve":
+        table["w"] = w
     else:
-        fitted, curve, bound, L = _bound(problem, trajectory, deltas)
-        metadata.update(fitted)
-        if figure_id == 4:
-            columns = {
-                "i": index,
-                "x": nodes,
-                "delta": deltas,
-                "c_curve": amplitude_curve(deltas, L, spec.mesh),
-                "bound_plus": bound,
-                "bound_minus": -bound,
-            }
+        reference = None
+        if problem.exact is None:
+            reference = auto_reference(problem, trajectory, cfg)
+        deltas = global_errors(trajectory, problem, reference)
+        if reference is None:
+            metadata["source"] = ErrorSource.AGAINST_EXACT
         else:
-            columns = {
-                "i": index,
-                "x": nodes,
-                "delta_abs": np.abs(deltas),
-                "c_curve": curve,
-                "bound": bound,
-            }
+            metadata.update(source=ErrorSource.AGAINST_REFERENCE_RUN,
+                            reference_h=reference.mesh.h,
+                            reference_error_estimate=reference.error_estimate)
+        metadata["max_abs_delta"] = float(np.max(np.abs(deltas)))
+        if columns == "errors":
+            table.update(w=w, y=w - deltas, delta=deltas)
+        elif columns in ("bound", "signed-bound"):
+            model, curve = fit_bound(problem, trajectory, deltas)
+            bound = error_bound(model, mesh)[: w.size]
+            metadata.update(L=model.L, sign_case=model.sign_case,
+                            c_tilde_max=float(np.nanmax(curve)),
+                            c_tilde_amplitude=model.C_tilde)
+            if columns == "bound":
+                table.update(delta_abs=np.abs(deltas), c_curve=curve, bound=bound)
+            else:
+                table.update(delta=deltas, c_curve=amplitude_curve(deltas, model.L, mesh),
+                             bound_plus=bound, bound_minus=-bound)
+        else:
+            epsilon = recover_local_errors(deltas, problem, trajectory)
+            if columns == "local":
+                direct = direct_local_errors(problem, mesh, method, cfg)[: w.size]
+                table.update(epsilon_recovered=epsilon, epsilon_direct=direct)
+            else:
+                table.update(delta=deltas, epsilon=epsilon)
+                metadata["max_abs_epsilon"] = float(np.max(np.abs(epsilon)))
+
     metadata["runtime_s"] = time.perf_counter() - started
-    return ResultTable(columns=columns, metadata=metadata)
-
-
-def _study_problem(problem_id: str, params: TestEquationParams | None,
-                   y0: float) -> tuple[VideProblem, dict]:
-    """A study's problem, and the config entries that name its parameters."""
-    if problem_id == "test-equation":
-        params = params or _STUDY_PARAMS
-        return test_equation(params), {"lambda": params.lam, "gamma": params.gamma}
-    return builtin_problem(problem_id, y0=y0), {"y0": y0}
+    return ResultTable(columns=table, metadata=metadata)
 
 
 def _ladder(h_list, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,8 +292,7 @@ def _ladder(h_list, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h_arr, errors, orders
 
 
-def run_order_study(problem_id: str, x_d: float, h_list, method: Method,
-                    params: TestEquationParams | None = None, y0: float = 1.0,
+def run_order_study(problem: VideProblem, x_d: float, h_list, method: Method,
                     cfg: ImplicitSolveConfig | None = None,
                     x0: float = 0.0) -> ResultTable:
     """Endpoint global error across a stepsize ladder, with pairwise slopes.
@@ -370,33 +301,20 @@ def run_order_study(problem_id: str, x_d: float, h_list, method: Method,
     computed from the previous row (NaN on the first). Expected p is about
     1 on smooth problems.
     """
-    problem, named = _study_problem(problem_id, params, y0)
     started = time.perf_counter()
     h_arr, delta_abs, p = _ladder(
         h_list, lambda h: abs(endpoint_error(problem, x_d, h, method, cfg, x0)))
     metadata = {
         "kind": ExperimentKind.ORDER_STUDY,
-        "problem": problem_id,
         "x_d": x_d,
         "method": method,
         "runtime_s": time.perf_counter() - started,
-        "config": {
-            "command": "order",
-            "problem": problem_id,
-            "x_d": x_d,
-            "h_list": [float(h) for h in h_arr],
-            "method": method.value,
-            "x0": x0,
-            **named,
-        },
     }
     return ResultTable(columns={"h": h_arr, "delta_abs": delta_abs, "p": p},
                        metadata=metadata)
 
 
-def run_consistency_study(problem_id: str, h_list, method: Method,
-                          params: TestEquationParams | None = None,
-                          y0: float = 1.0,
+def run_consistency_study(problem: VideProblem, h_list, method: Method,
                           cfg: ImplicitSolveConfig | None = None,
                           x0: float = 0.0, xf: float = 5.0) -> ResultTable:
     """Max direct local error across a stepsize ladder, with pairwise slopes.
@@ -405,24 +323,13 @@ def run_consistency_study(problem_id: str, h_list, method: Method,
     q from the previous row (NaN on the first). Expected q is about 2 on
     smooth problems with an exact solution.
     """
-    problem, named = _study_problem(problem_id, params, y0)
     started = time.perf_counter()
     h_arr, local_max, q = _ladder(h_list, lambda h: float(np.max(np.abs(
         direct_local_errors(problem, make_mesh(x0, xf, h), method, cfg)))))
     metadata = {
         "kind": ExperimentKind.CONSISTENCY_STUDY,
-        "problem": problem_id,
         "method": method,
         "runtime_s": time.perf_counter() - started,
-        "config": {
-            "command": "consistency",
-            "problem": problem_id,
-            "h_list": [float(h) for h in h_arr],
-            "method": method.value,
-            "x0": x0,
-            "xf": xf,
-            **named,
-        },
     }
     return ResultTable(columns={"h": h_arr, "local_max": local_max, "q": q},
                        metadata=metadata)

@@ -77,7 +77,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -139,11 +139,15 @@ class ImplicitSolveConfig:
     O(h**2) local error being studied so the solve contributes nothing
     visible to the error analysis.
 
+    ``strategy`` may be given by its value ("newton", "fixed-point") and
+    is stored as a SolveStrategy.
+
     Raises
     ------
     InvalidSolveConfig
-        A tolerance is not positive (NaN included), or max_iterations is
-        not an integer of at least 1.
+        A tolerance is not a positive real number (NaN included),
+        max_iterations is not an integer of at least 1, or strategy names
+        no SolveStrategy.
     """
 
     rel_tol: float = 1e-12
@@ -152,13 +156,20 @@ class ImplicitSolveConfig:
     strategy: SolveStrategy = SolveStrategy.NEWTON_WITH_JACOBIANS
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "strategy", SolveStrategy(self.strategy))
+        except ValueError:
+            raise InvalidSolveConfig(
+                f"strategy must be one of {[s.value for s in SolveStrategy]}, "
+                f"got {self.strategy!r}") from None
         # Written as not (x > 0) so that NaN tolerances are rejected too.
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0
+        if not (isinstance(self.rel_tol, Real) and isinstance(self.abs_tol, Real)
+                and self.rel_tol > 0.0 and self.abs_tol > 0.0
                 and isinstance(self.max_iterations, Integral) and self.max_iterations >= 1):
             raise InvalidSolveConfig(
-                "require rel_tol > 0, abs_tol > 0, integer max_iterations >= 1; got "
-                f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}, "
-                f"max_iterations={self.max_iterations}")
+                "require real rel_tol > 0, real abs_tol > 0, integer max_iterations >= 1; "
+                f"got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}, "
+                f"max_iterations={self.max_iterations!r}")
 
 
 def _evaluate(fn, *args) -> float:

@@ -1,8 +1,11 @@
 import pytest
 
 from videstep import (
+    FIGURES,
+    Method,
     TestEquationParams,
     make_mesh,
+    run_experiment,
     test_equation,
     test_equation_exact,
 )
@@ -38,3 +41,23 @@ def growing_params():
 @pytest.fixture
 def short_mesh():
     return make_mesh(0.0, 1.0, 0.1)
+
+
+def _figure_run(figure_id):
+    options = FIGURES[figure_id].options
+    return (test_equation(TestEquationParams(lam=options["lambda"], gamma=options["gamma"])),
+            make_mesh(options["x0"], options["xf"], options["h"]),
+            Method(options["method"]))
+
+
+@pytest.fixture
+def figure_run():
+    """Problem, mesh and method of figure k, built from its preset."""
+    return _figure_run
+
+
+@pytest.fixture
+def figure_table():
+    """The table of figure k through run_experiment, built from its preset."""
+    return lambda figure_id: run_experiment(FIGURES[figure_id].columns,
+                                            *_figure_run(figure_id))

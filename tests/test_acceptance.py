@@ -22,14 +22,12 @@ from videstep import (
     constant_kernel,
     direct_local_errors,
     endpoint_error,
-    figure_spec,
     global_errors,
     integrate,
     make_mesh,
     pairwise_order,
     pure_ode,
     recover_local_errors,
-    run_experiment,
     test_equation,
 )
 
@@ -142,10 +140,10 @@ def test_criterion_4_local_error_recovery():
 # 5 ---------------------------------------------------------------------------
 
 
-def test_criterion_5_bound_dominance():
+def test_criterion_5_bound_dominance(figure_table):
     overshoots = {}
     for figure_id in (1, 3, 4):
-        table = run_experiment(figure_spec(figure_id))
+        table = figure_table(figure_id)
         if figure_id == 4:
             delta_abs = np.abs(table.columns["delta"])
             bound = table.columns["bound_plus"]
@@ -202,7 +200,7 @@ def post_transient_amplitude(xs, curve, L):
     return float(np.max(np.abs(curve[past if past.any() else finite])))
 
 
-def test_criterion_6_figure_anchors():
+def test_criterion_6_figure_anchors(figure_table):
     # Compared: the amplitude curve C~_i h/L past the initial transient.
     # metadata["c_tilde_max"] is the run maximum, which on figure 1 comes
     # from the first nodes (h*|fast root| ~ 0.49) and reads 0.26.
@@ -215,7 +213,7 @@ def test_criterion_6_figure_anchors():
     literal = {1: [0.0041], 3: [], 4: []}
     measured, expected, oracle_gap, within = {}, {}, {}, {}
     for figure_id, (lam, gamma, h, xf, implicit) in FIGURE_RUNS.items():
-        table = run_experiment(figure_spec(figure_id))
+        table = figure_table(figure_id)
         L_run = table.metadata["L"]
         measured[figure_id] = post_transient_amplitude(
             table.columns["x"], table.columns["c_curve"], L_run)
@@ -257,9 +255,9 @@ def test_criterion_6_figure_anchors():
     assert ok
 
 
-def test_criterion_6_divergent_run_magnitude():
+def test_criterion_6_divergent_run_magnitude(figure_table):
     with pytest.warns(ConfigurationWarning):
-        table = run_experiment(figure_spec(2))
+        table = figure_table(2)
     peak = table.metadata["max_abs_delta"]
     ok = bool(table.metadata["diverged"]) and peak >= 1e10
     report("divergent-run magnitude", ok,
@@ -268,10 +266,10 @@ def test_criterion_6_divergent_run_magnitude():
     assert ok
 
 
-def test_criterion_6_amplitude_curve_superimposed_when_l_strongly_negative():
+def test_criterion_6_amplitude_curve_superimposed_when_l_strongly_negative(figure_table):
     # where e^{(x-x0)L} has fully decayed the estimation denominator is 1,
     # so the amplitude curve must lie on top of the error curve
-    table = run_experiment(figure_spec(1))
+    table = figure_table(1)
     L = table.metadata["L"]
     xs = table.columns["x"]
     mask = np.abs(np.expm1(L * (xs - xs[0]))) >= 0.999
@@ -286,8 +284,8 @@ def test_criterion_6_amplitude_curve_superimposed_when_l_strongly_negative():
     assert ok
 
 
-def test_criterion_6_oscillatory_error_sign_changes():
-    table = run_experiment(figure_spec(4))
+def test_criterion_6_oscillatory_error_sign_changes(figure_table):
+    table = figure_table(4)
     delta = table.columns["delta"][1:]
     signs = np.sign(delta)
     signs = signs[signs != 0]

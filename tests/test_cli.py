@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +99,7 @@ def test_local_command_recovered_matches_direct(outdir):
 def test_local_without_exact_solution_refuses_before_running(outdir, capsys,
                                                             monkeypatch, method):
     runs = []
-    monkeypatch.setattr("videstep.cli.integrate", lambda *args: runs.append(args))
+    monkeypatch.setattr("videstep.experiments.integrate", lambda *args: runs.append(args))
     code = main(["local", "--problem", "cubic-kernel", "--xf", "5", "--h", "0.1",
                  "--method", method])
     assert code == 2
@@ -578,3 +580,94 @@ def test_out_of_domain_number_is_usage_error(outdir, capsys, flags):
     argv = ["solve", "--problem", "pure-ode", "--xf", "1", "--h", "0.1"]
     assert main(argv + flags) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- figures as presets, reruns, and the README's examples -------------------
+
+# Figure k's flags as a `bound` command line (x0 = 0 and the explicit
+# method are the defaults).
+_FIGURE_AS_BOUND = {
+    1: ["--lambda=-100", "--gamma=-200", "--h=5e-3", "--xf=5"],
+    2: ["--lambda=-100", "--gamma=-200", "--h=5e-2", "--xf=2", "--allow-divergence"],
+    3: ["--lambda=1", "--gamma=2", "--h=5e-3", "--xf=5"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::videstep.errors.ConfigurationWarning")
+@pytest.mark.parametrize("figure_id", sorted(_FIGURE_AS_BOUND))
+def test_figure_writes_the_bound_csv_of_its_flags(outdir, figure_id):
+    flags = _FIGURE_AS_BOUND[figure_id]
+    divergence = [f for f in flags if f == "--allow-divergence"]
+    assert main(["figure", "--id", str(figure_id), "--out", "f.csv", *divergence]) == 0
+    assert main(["bound", "--problem", "test-equation", *flags, "--out", "b.csv"]) == 0
+    assert (outdir / "f.csv").read_bytes() == (outdir / "b.csv").read_bytes()
+
+
+_RERUNS = {
+    "figure-1": ["figure", "--id", "1"],
+    "figure-2": ["figure", "--id", "2", "--allow-divergence"],
+    "figure-3": ["figure", "--id", "3"],
+    "figure-4": ["figure", "--id", "4"],
+    "figure-5": ["figure", "--id", "5", "--method", "implicit"],
+    "solve": ["solve", "--problem", "test-equation", "--lambda=-1", "--gamma=-2",
+              "--xf", "1", "--h", "0.1", "--method", "implicit", "--strategy", "fixed-point"],
+    "errors": ["errors", "--problem", "cubic-kernel", "--y0", "1.8", "--xf", "1", "--h", "0.1"],
+    "bound": ["bound", "--problem", "pure-ode", "--y0", "0.5", "--xf", "1", "--h", "0.1",
+              "--method", "implicit", "--rel-tol", "1e-10"],
+    "local": ["local", "--problem", "constant-kernel", "--x0", "0", "--xf", "1", "--h", "0.1"],
+    "order": ["order", "--problem", "cubic-kernel", "--y0", "1.8", "--x-d", "1",
+              "--h-list", "0.1,0.05"],
+    "consistency": ["consistency", "--problem", "test-equation", "--lambda=1", "--gamma=2",
+                    "--xf", "1", "--h-list", "0.04,0.02", "--method", "implicit"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::videstep.errors.ConfigurationWarning")
+@pytest.mark.parametrize("name", sorted(_RERUNS))
+def test_sidecar_rerun_reproduces_every_command(outdir, name):
+    argv = _RERUNS[name]
+    divergence = [f for f in argv if f == "--allow-divergence"]
+    assert main([*argv, "--out", "first.csv"]) == 0
+    # --allow-divergence is how a run is accepted, not how it is computed,
+    # so the sidecar leaves it out and the rerun passes it again
+    assert main(["--config", str(outdir / "first.meta.json"), "--out", "again.csv",
+                 *divergence]) == 0
+    assert (outdir / "again.csv").read_bytes() == (outdir / "first.csv").read_bytes()
+    assert (json.loads((outdir / "again.meta.json").read_text())["config"]
+            == json.loads((outdir / "first.meta.json").read_text())["config"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["errors", "--problem", "test-equation", "--lambda=-1", "--gamma=-2",
+     "--x0", "1", "--xf", "2", "--h", "0.01"],
+    ["consistency", "--problem", "test-equation", "--lambda=-1", "--gamma=-2",
+     "--x0", "1", "--xf", "3", "--h-list", "0.02,0.01,0.005"],
+    ["figure", "--id", "5", "--x0", "1", "--xf", "2"],
+], ids=["errors", "consistency", "figure"])
+def test_exact_solution_off_its_start_is_usage_error(outdir, capsys, argv):
+    # the built-in exact solutions start at x = 0
+    assert main(argv + ["--out", "r.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: exact solution is ")
+    assert not (outdir / "r.csv").exists()
+
+
+def test_problem_without_exact_solution_runs_from_any_x0(outdir):
+    assert main(["errors", "--problem", "cubic-kernel", "--x0", "1", "--xf", "2",
+                 "--h", "0.01", "--out", "c.csv"]) == 0
+
+
+def _readme_command_lines():
+    """The complete `videstep` lines of the README's command-line block
+    (those without "..."), continuation lines joined, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#")[0])[1:] for line in lines
+            if line.startswith("videstep ") and "..." not in line]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VIDESTEP_OUT_DIR", raising=False)
+    assert main(argv) == 0

@@ -11,6 +11,7 @@ from videstep import (
     ConfigurationWarning,
     DegenerateDenominator,
     ImplicitSolveConfig,
+    InconsistentExact,
     KernelCallMismatch,
     LengthMismatch,
     Mesh,
@@ -84,6 +85,41 @@ def test_global_errors_needs_exact_or_reference():
     trajectory = integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
     with pytest.raises(MissingExact):
         global_errors(trajectory, problem)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_exact_solution_must_start_at_y0(oscillatory_problem, method):
+    # the built-in solutions start at x = 0: from x0 = 1 the test
+    # equation's reads 0.298 there against y0 = 2
+    mesh = make_mesh(1.0, 2.0, 0.1)
+    trajectory = integrate(oscillatory_problem, mesh, method)
+    with pytest.raises(InconsistentExact, match=r"at x0 = 1\.0, not y0 = 2\.0"):
+        global_errors(trajectory, oscillatory_problem)
+    with pytest.raises(InconsistentExact):
+        direct_local_errors(oscillatory_problem, mesh, method)
+    with pytest.raises(InconsistentExact):
+        endpoint_error(oscillatory_problem, 2.0, 0.1, method, x0=1.0)
+    # a problem without exact solution is measured against its reference
+    problem = cubic_kernel()
+    run = integrate(problem, mesh, method)
+    assert np.all(np.isfinite(global_errors(run, problem, auto_reference(problem, run))))
+
+
+@pytest.mark.parametrize("offset,refused", [(1e-13, False), (-1e-13, False),
+                                            (1e-11, True), (math.nan, True)])
+def test_exact_start_tolerance_is_rounding(offset, refused):
+    # exact(x0) may miss y0 by 1e-12 relative to max(1, |y0|), no more
+    problem = pure_ode(y0=1.0)
+    shifted = dataclasses.replace(problem, exact=lambda x: np.exp(-x) + offset)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    trajectory = integrate(shifted, mesh, Method.EXPLICIT)
+    for analyse in (lambda: global_errors(trajectory, shifted),
+                    lambda: direct_local_errors(shifted, mesh, Method.EXPLICIT)):
+        if refused:
+            with pytest.raises(InconsistentExact):
+                analyse()
+        else:
+            analyse()
 
 
 def test_global_errors_against_reference_run():

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from videstep import (
+    FIGURES,
     ConfigurationWarning,
     ExperimentKind,
     Method,
     ResultTable,
     SignCase,
     TestEquationParams,
-    UnknownProblem,
+    cubic_kernel,
     direct_local_errors,
-    figure_spec,
     integrate,
-    make_mesh,
+    pure_ode,
     run_consistency_study,
-    run_experiment,
     run_order_study,
     test_equation,
 )
+from videstep.cli import main
 
 
 def read_csv(path):
@@ -35,7 +35,14 @@ def sign_change_count(values):
     return int(np.sum(signs[:-1] * signs[1:] < 0))
 
 
-# --- figure_spec ------------------------------------------------------------
+def sidecar(tmp_path, *argv):
+    """The metadata sidecar of one CLI run, which must exit 0."""
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads((tmp_path / "run.meta.json").read_text())
+
+
+# --- figure presets ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("figure_id,lam,gamma,h,x0,xf", [
@@ -46,37 +53,31 @@ def sign_change_count(values):
     (5, -1.0, -2.0, 5e-3, 0.0, 5.0),
 ])
 def test_figure_spec_defaults(figure_id, lam, gamma, h, x0, xf):
-    spec = figure_spec(figure_id)
-    assert spec.params == TestEquationParams(lam=lam, gamma=gamma)
-    assert spec.mesh.h == h
-    assert spec.mesh.x0 == x0
-    assert spec.mesh.xf == xf
-    assert spec.overrides == {}
+    # a figure's spec is its preset: option defaults by config key
+    options = FIGURES[figure_id].options
+    assert (options["lambda"], options["gamma"]) == (lam, gamma)
+    assert options["h"] == h
+    assert options["x0"] == x0
+    assert options["xf"] == xf
 
 
-def test_figure_spec_unknown_id():
-    with pytest.raises(UnknownProblem):
-        figure_spec(7)
+def test_figure_spec_unknown_id(tmp_path, capsys):
+    # the presets are figures 1-5; a config naming another is refused
+    assert 7 not in FIGURES
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"command": "figure", "id": 7}))
+    assert main(["--config", str(config)]) == 2
+    assert "'id'" in capsys.readouterr().err
 
 
-def test_figure_spec_overrides_split():
-    spec = figure_spec(1, {"h": 1e-2, "xf": 2.0, "method": "implicit",
-                           "max_iterations": 10})
-    assert spec.mesh.h == 1e-2
-    assert spec.mesh.xf == 2.0
-    assert spec.params.lam == -100.0
-    # run-level overrides stay behind for run_experiment
-    assert spec.overrides == {"method": "implicit", "max_iterations": 10}
+# --- figures ----------------------------------------------------------------
 
 
-# --- canned experiments -----------------------------------------------------
-
-
-def test_figure1_stable_stiff_run():
-    table = run_experiment(figure_spec(1))
+def test_figure1_stable_stiff_run(figure_table, tmp_path):
+    table = figure_table(1)
     assert list(table.columns) == ["i", "x", "delta_abs", "c_curve", "bound"]
     meta = table.metadata
-    assert meta["kind"] == ExperimentKind.FIGURE1
+    assert sidecar(tmp_path, "figure", "--id", "1")["kind"] == ExperimentKind.FIGURE1
     assert meta["method"] == Method.EXPLICIT
     assert meta["diverged"] is False
     assert meta["overflow_at"] is None
@@ -88,20 +89,21 @@ def test_figure1_stable_stiff_run():
     assert np.all(ok)
 
 
-def test_figure2_diverges_and_is_recorded():
+def test_figure2_diverges_and_is_recorded(figure_table, tmp_path):
     with pytest.warns(ConfigurationWarning):
-        table = run_experiment(figure_spec(2))
+        table = figure_table(2)
     meta = table.metadata
     assert meta["diverged"] is True
     assert meta["max_abs_delta"] > 1e10
-    config = meta["config"]
+    with pytest.warns(ConfigurationWarning):
+        config = sidecar(tmp_path, "figure", "--id", "2", "--allow-divergence")["config"]
     assert config["command"] == "figure"
     assert config["id"] == 2
     assert config["h"] == 5e-2
 
 
-def test_figure3_growing_run():
-    table = run_experiment(figure_spec(3))
+def test_figure3_growing_run(figure_table):
+    table = figure_table(3)
     meta = table.metadata
     assert meta["sign_case"] == SignCase.POSITIVE
     assert meta["diverged"] is False
@@ -109,8 +111,8 @@ def test_figure3_growing_run():
     assert np.all(ok)
 
 
-def test_figure4_oscillatory_signed_curves():
-    table = run_experiment(figure_spec(4))
+def test_figure4_oscillatory_signed_curves(figure_table):
+    table = figure_table(4)
     assert list(table.columns) == ["i", "x", "delta", "c_curve",
                                    "bound_plus", "bound_minus"]
     meta = table.metadata
@@ -123,24 +125,23 @@ def test_figure4_oscillatory_signed_curves():
     assert np.all(np.abs(delta) <= slack)
 
 
-def test_figure5_local_error_recovery():
-    table = run_experiment(figure_spec(5))
+def test_figure5_local_error_recovery(figure_table, figure_run):
+    table = figure_table(5)
     assert list(table.columns) == ["i", "x", "delta", "epsilon"]
     meta = table.metadata
     assert meta["method"] == Method.EXPLICIT
     assert meta["max_abs_epsilon"] > 0.0
-    spec = figure_spec(5)
-    direct = direct_local_errors(test_equation(spec.params), spec.mesh,
-                                 Method.EXPLICIT)
+    problem, mesh, _ = figure_run(5)
+    direct = direct_local_errors(problem, mesh, Method.EXPLICIT)
     assert float(np.max(np.abs(table.columns["epsilon"] - direct))) <= 1e-10
 
 
 @pytest.mark.parametrize("figure_id", [4, 5])
-def test_figure_sidecar_solver_block(figure_id):
+def test_figure_sidecar_solver_block(figure_table, figure_run, figure_id):
     # figure 4 runs the implicit method with Newton, figure 5 the explicit
-    spec = figure_spec(figure_id)
-    table = run_experiment(spec)
-    run = integrate(test_equation(spec.params), spec.mesh, table.metadata["method"])
+    table = figure_table(figure_id)
+    problem, mesh, _ = figure_run(figure_id)
+    run = integrate(problem, mesh, table.metadata["method"])
     iterations = [d.iterations for d in run.step_diagnostics]
     assert table.metadata["solver"] == {
         "max_iterations": max(iterations),
@@ -150,23 +151,23 @@ def test_figure_sidecar_solver_block(figure_id):
     assert (table.metadata["solver"]["max_iterations"] > 0) == (figure_id == 4)
 
 
-def test_run_experiment_method_override_is_honoured():
-    table = run_experiment(figure_spec(4, {"method": "explicit"}))
-    assert table.metadata["method"] == Method.EXPLICIT
+def test_run_experiment_method_override_is_honoured(tmp_path):
+    meta = sidecar(tmp_path, "figure", "--id", "4", "--method", "explicit")
+    assert meta["method"] == Method.EXPLICIT
 
 
 # --- studies ----------------------------------------------------------------
 
 
-def test_order_study_first_order():
-    table = run_order_study("test-equation", 5.0, [0.02, 0.01, 0.005],
-                            Method.EXPLICIT,
-                            params=TestEquationParams(-1.0, -2.0))
+def test_order_study_first_order(tmp_path):
+    table = run_order_study(test_equation(TestEquationParams(-1.0, -2.0)), 5.0,
+                            [0.02, 0.01, 0.005], Method.EXPLICIT)
     assert list(table.columns) == ["h", "delta_abs", "p"]
     p = table.columns["p"]
     assert np.isnan(p[0])
     assert np.all((p[1:] >= 0.85) & (p[1:] <= 1.15))
-    config = table.metadata["config"]
+    config = sidecar(tmp_path, "order", "--lambda=-1", "--gamma=-2", "--x-d", "5",
+                     "--h-list", "0.02,0.01,0.005")["config"]
     assert config["command"] == "order"
     assert config["h_list"] == [0.02, 0.01, 0.005]
 
@@ -174,22 +175,14 @@ def test_order_study_first_order():
 @pytest.mark.parametrize("method", list(Method))
 def test_order_study_cubic_kernel_against_reference(method):
     # no exact solution: every rung is measured against auto_reference
-    table = run_order_study("cubic-kernel", 5.0, [0.1, 0.05, 0.025], method, y0=1.8)
+    table = run_order_study(cubic_kernel(y0=1.8), 5.0, [0.1, 0.05, 0.025], method)
     p = table.columns["p"][1:]
     assert np.all((p >= 0.8) & (p <= 1.2))
 
 
-def test_order_study_default_test_equation_coefficients():
-    # omitting params falls back to lam=-1, gamma=-2
-    table = run_order_study("test-equation", 1.0, [0.02, 0.01], Method.EXPLICIT)
-    assert table.metadata["config"]["lambda"] == -1.0
-    assert table.metadata["config"]["gamma"] == -2.0
-
-
 def test_consistency_study_second_order():
-    table = run_consistency_study("test-equation", [0.02, 0.01, 0.005],
-                                  Method.EXPLICIT,
-                                  params=TestEquationParams(-1.0, -2.0))
+    table = run_consistency_study(test_equation(TestEquationParams(-1.0, -2.0)),
+                                  [0.02, 0.01, 0.005], Method.EXPLICIT)
     assert list(table.columns) == ["h", "local_max", "q"]
     local_max = table.columns["local_max"]
     assert np.all(np.diff(local_max) < 0.0)  # consistency: shrinks with h
@@ -198,11 +191,12 @@ def test_consistency_study_second_order():
     assert np.all((q[1:] >= 1.7) & (q[1:] <= 2.3))
 
 
-def test_consistency_study_manufactured_problem():
-    table = run_consistency_study("pure-ode", [0.04, 0.02], Method.IMPLICIT,
-                                  y0=2.0, xf=1.0)
-    assert table.metadata["config"]["y0"] == 2.0
+def test_consistency_study_manufactured_problem(tmp_path):
+    table = run_consistency_study(pure_ode(y0=2.0), [0.04, 0.02], Method.IMPLICIT, xf=1.0)
     assert table.columns["local_max"][0] > table.columns["local_max"][1]
+    config = sidecar(tmp_path, "consistency", "--problem", "pure-ode", "--y0", "2",
+                     "--h-list", "0.04,0.02", "--method", "implicit", "--xf", "1")["config"]
+    assert config["y0"] == 2.0
 
 
 # --- ResultTable ------------------------------------------------------------
@@ -273,21 +267,18 @@ def test_result_table_json_payload(tmp_path):
 
 
 def test_metadata_sidecar_reproduces_run(tmp_path):
-    table = run_experiment(figure_spec(5))
-    paths = table.write(tmp_path / "fig5.csv", "csv")
-    sidecar = json.loads(paths[1].read_text())
-    config = sidecar["config"]
+    config = sidecar(tmp_path, "figure", "--id", "5")["config"]
     assert config == {
         "command": "figure", "id": 5, "lambda": -1.0, "gamma": -2.0,
         "x0": 0.0, "xf": 5.0, "h": 5e-3, "method": "explicit",
         "strategy": "newton", "rel_tol": 1e-12, "abs_tol": 1e-14,
-        "max_iterations": 50,
+        "max_iterations": 50, "format": "csv",
     }
 
 
-def test_experiment_is_deterministic(tmp_path):
-    a = run_experiment(figure_spec(5))
-    b = run_experiment(figure_spec(5))
+def test_experiment_is_deterministic(figure_table, tmp_path):
+    a = figure_table(5)
+    b = figure_table(5)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.to_csv(pa)
     b.to_csv(pb)

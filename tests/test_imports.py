@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and every
 private top-level name it defines, and every name in its ``__all__``, is
-read somewhere in the package.
+read somewhere in the package. ``cli`` imports no private name of
+another module.
 
 The package namespace (``__init__.py``) re-exports names and is skipped.
 Only the standard library's ``ast`` is used, so no linter is needed.
@@ -87,3 +88,12 @@ def test_every_public_name_has_a_caller(path):
     used = package_references()
     dead = [name for name in public_names(ast.parse(path.read_text())) if name not in used]
     assert dead == [], f"{path.name} exports {dead} and nothing in the package uses them"
+
+
+def test_cli_imports_no_private_name():
+    # the command line reaches the package through its public names only
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"cli.py imports private names {private}"

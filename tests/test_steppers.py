@@ -309,6 +309,8 @@ def test_implicit_two_cycle_stops_at_once():
     {"abs_tol": math.nan},
     {"max_iterations": 2.5},
     {"max_iterations": math.inf},
+    {"strategy": "bogus"},
+    {"rel_tol": "1e-3"},
 ])
 def test_solve_config_validation(kwargs):
     # typed as a package error, and still a ValueError
@@ -316,6 +318,11 @@ def test_solve_config_validation(kwargs):
         ImplicitSolveConfig(**kwargs)
     assert issubclass(InvalidSolveConfig, VidestepError)
     assert issubclass(InvalidSolveConfig, ValueError)
+
+
+def test_solve_config_reads_strategy_by_value():
+    assert ImplicitSolveConfig(strategy="fixed-point").strategy is SolveStrategy.FIXED_POINT
+    assert ImplicitSolveConfig().strategy is SolveStrategy.NEWTON_WITH_JACOBIANS
 
 
 # --- integrate --------------------------------------------------------------
