@@ -68,6 +68,7 @@ from .errors import (
     LengthMismatch,
     MissingExact,
     MissingJacobian,
+    RepeatedStep,
     SingularDenominator,
     ZeroError,
 )
@@ -406,13 +407,18 @@ def direct_local_errors(problem: VideProblem, mesh: Mesh, method: Method,
 def pairwise_order(err1: float, err2: float, h1: float, h2: float) -> float:
     """Observed order p = ln(err1/err2) / ln(h1/h2) from two error magnitudes.
 
-    Raises ZeroError when either magnitude is below 1e-15 (the ratio is
-    then rounding noise, so the order is undefined).
+    Raises RepeatedStep when h1/h2 is 1 (ln(h1/h2) = 0), and ZeroError
+    when either magnitude is below 1e-15 (the ratio is then rounding
+    noise, so the order is undefined).
     """
+    log_ratio = math.log(h1 / h2)
+    if log_ratio == 0.0:
+        raise RepeatedStep(f"stepsizes {float(h1)!r} and {float(h2)!r} are equal "
+                           "(ln(h1/h2) = 0); order undefined")
     err1, err2 = abs(err1), abs(err2)
     if err1 < 1e-15 or err2 < 1e-15:
         raise ZeroError("error magnitude below 1e-15; order undefined")
-    return math.log(err1 / err2) / math.log(h1 / h2)
+    return math.log(err1 / err2) / log_ratio
 
 
 def endpoint_error(problem: VideProblem, x_d: float, h: float, method: Method,

@@ -20,6 +20,7 @@ __all__ = [
     "MissingJacobian",
     "LengthMismatch",
     "ZeroError",
+    "RepeatedStep",
     "UnknownProblem",
     "ConfigurationWarning",
 ]
@@ -106,6 +107,11 @@ class LengthMismatch(VidestepError):
 
 class ZeroError(VidestepError):
     """An error magnitude is too close to zero for a meaningful ratio."""
+
+
+class RepeatedStep(VidestepError):
+    """Two stepsizes compared for an observed order are equal, so ln(h1/h2)
+    is 0 and the ratio of their errors tells nothing about the order."""
 
 
 class UnknownProblem(VidestepError):

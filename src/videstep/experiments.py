@@ -87,11 +87,6 @@ LAYOUTS = ("solve", "errors", "bound", "local", "signed-bound", "recovery")
 
 
 class ExperimentKind(str, Enum):
-    FIGURE1 = "figure-1"
-    FIGURE2 = "figure-2"
-    FIGURE3 = "figure-3"
-    FIGURE4 = "figure-4"
-    FIGURE5 = "figure-5"
     ORDER_STUDY = "order-study"
     CONSISTENCY_STUDY = "consistency-study"
 

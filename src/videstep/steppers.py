@@ -61,8 +61,13 @@ compared with scalar calls at a few nodes, so that a kernel reducing over
 its array argument (say ``np.max(y)``) is rejected instead of being
 broadcast to a wrong row. A scalar row is one C-level ``map`` of the
 kernel over the row, collected by ``np.fromiter``; the kernel receives
-x_m as a float and each w_j and x_j as the NumPy float element of its
-array.
+x_m as a float and each w_j and x_j as a NumPy float equal to the element
+of its array. Each of those NumPy floats is made once per run, when the
+march first builds a row that holds node j, and every later row reuses it
+(``_CallForm.boxed``), so that the O(n**2) calls of a run box O(n)
+values instead of two per call. The kept floats cost about 80 bytes per
+node reached (a NumPy float and a list slot for each of w_j and x_j)
+until the run returns.
 
 Every kernel value that enters a trapezium row, whether a running-sum
 entry, a vector row or a scalar row, follows one rule: NaN raises
@@ -209,17 +214,39 @@ def _trapezium(h: float, total: float, first: float, last: float) -> float:
 
 
 class _CallForm:
-    """Whether a callback takes arrays, decided once per run for kernel rows.
+    """How a callback is called over nodes, decided once per run for kernel rows.
 
     ``vector`` is None while undecided, True once a vector call with two
     distinct values per array argument has matched scalar calls, and False
     once a vector call has failed; the callback is then mapped over entries.
+
+    ``boxed`` keeps, by argument position, the list of NumPy floats a
+    scalar-only callback has been given so far, so that each entry is
+    boxed once per run, not once per row. A form is therefore shared only
+    by calls whose array arguments are prefixes of the same unchanging
+    arrays, as the history and the nodes of the rows of one run
+    (``_march``) are; ``_on_nodes`` otherwise makes a fresh form per call.
     """
 
-    __slots__ = ("vector",)
+    __slots__ = ("vector", "boxed")
 
     def __init__(self):
         self.vector = None
+        self.boxed = {}
+
+    def columns(self, args: tuple, n: int) -> list:
+        """The entries of each argument for n scalar calls: a scalar
+        repeated n times, an array's NumPy float elements (the kept ones,
+        extended to n)."""
+        columns = []
+        for k, a in enumerate(args):
+            if not np.ndim(a):
+                columns.append(repeat(a, n))
+            else:
+                box = self.boxed.setdefault(k, [])
+                box.extend(a[len(box):])
+                columns.append(box)
+        return columns
 
 
 def _agree(a: float, b: float) -> bool:
@@ -273,7 +300,7 @@ def _on_nodes(fn, name: str, args: tuple, form: _CallForm | None = None,
     - A TypeError or ValueError from the vector call means scalars only:
       ``fn`` is then called once per entry by one C-level ``map``, with no
       Python frame of this package in between, on the NumPy float
-      elements of the arrays.
+      elements of the arrays that ``form`` keeps.
     - A VidestepError passes through. Any other exception becomes a
       StepEvaluationError chained from it, which for the ``map`` names the
       first failing entry, found by calling ``fn`` entry by entry again.
@@ -298,7 +325,7 @@ def _on_nodes(fn, name: str, args: tuple, form: _CallForm | None = None,
             if form.vector is None and _check_vector_call(fn, name, args, out):
                 form.vector = True
     if form.vector is False:
-        calls = map(fn, *[a if np.ndim(a) else repeat(a, n) for a in args])
+        calls = map(fn, *form.columns(args, n))
         try:
             # float() per value only where NaN is kept, so that None raises.
             out = np.fromiter(map(float, calls) if nan_ok else calls, dtype=float, count=n)

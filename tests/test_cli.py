@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -561,6 +562,9 @@ def test_no_command_line_ends_in_a_traceback(outdir):
     @example(argv=["solve", "--problem=cubic-kernel", "--xf=1", "--h=0.5",
                    "--method=implicit", "--rel-tol=5e-324", "--abs-tol=5e-324",
                    "--max-iterations=1000000000"])
+    @example(argv=["order", "--problem", "pure-ode", "--x-d", "1", "--h-list", "0.1,0.1"])
+    @example(argv=["consistency", "--problem", "pure-ode", "--xf", "1",
+                   "--h-list", "0.1,0.1"])
     def check(argv):
         code, err = _exit_code(argv)
         assert code in (0, 2, 3), (argv, code, err)
@@ -656,11 +660,13 @@ def test_problem_without_exact_solution_runs_from_any_x0(outdir):
                  "--h", "0.01", "--out", "c.csv"]) == 0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_command_lines():
     """The complete `videstep` lines of the README's command-line block
     (those without "..."), continuation lines joined, as argv lists."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```")[1]
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line.split("#")[0])[1:] for line in lines
             if line.startswith("videstep ") and "..." not in line]
@@ -671,3 +677,15 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("VIDESTEP_OUT_DIR", raising=False)
     assert main(argv) == 0
+
+
+_README_PYTHON = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+@pytest.mark.parametrize("source", _README_PYTHON,
+                         ids=[f"block{k + 1}" for k in range(len(_README_PYTHON))])
+def test_readme_python_blocks_run(tmp_path, monkeypatch, source):
+    # each block runs on its own, from an empty working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VIDESTEP_OUT_DIR", raising=False)
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})

@@ -17,6 +17,7 @@ from videstep import (
     Mesh,
     Method,
     MissingExact,
+    RepeatedStep,
     SignCase,
     SingularDenominator,
     SolveStrategy,
@@ -752,6 +753,12 @@ def test_pairwise_order_zero_error():
         pairwise_order(1e-16, 1e-2, 0.02, 0.01)
     with pytest.raises(ZeroError):
         pairwise_order(1e-2, 0.0, 0.02, 0.01)
+
+
+def test_pairwise_order_refuses_a_repeated_stepsize():
+    # ln(h1/h2) = 0: a typed refusal, not a ZeroDivisionError
+    with pytest.raises(RepeatedStep, match=r"stepsizes 0\.02 and 0\.02 are equal"):
+        pairwise_order(0.02, 0.01, 0.02, 0.02)
 
 
 def test_endpoint_error_matches_full_run(oscillatory_problem):

@@ -6,7 +6,6 @@ import pytest
 from videstep import (
     FIGURES,
     ConfigurationWarning,
-    ExperimentKind,
     Method,
     ResultTable,
     SignCase,
@@ -77,7 +76,7 @@ def test_figure1_stable_stiff_run(figure_table, tmp_path):
     table = figure_table(1)
     assert list(table.columns) == ["i", "x", "delta_abs", "c_curve", "bound"]
     meta = table.metadata
-    assert sidecar(tmp_path, "figure", "--id", "1")["kind"] == ExperimentKind.FIGURE1
+    assert sidecar(tmp_path, "figure", "--id", "1")["kind"] == "figure-1"
     assert meta["method"] == Method.EXPLICIT
     assert meta["diverged"] is False
     assert meta["overflow_at"] is None

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and every
 private top-level name it defines, and every name in its ``__all__``, is
-read somewhere in the package. ``cli`` imports no private name of
+read somewhere in the package, as is every enum member, by name or by
+its value spelled as a string. ``cli`` imports no private name of
 another module.
 
 The package namespace (``__init__.py``) re-exports names and is skipped.
@@ -88,6 +89,31 @@ def test_every_public_name_has_a_caller(path):
     used = package_references()
     dead = [name for name in public_names(ast.parse(path.read_text())) if name not in used]
     assert dead == [], f"{path.name} exports {dead} and nothing in the package uses them"
+
+
+def enum_members(tree):
+    """(name, value node) of each member of each Enum class a module defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Enum" for base in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.Assign):
+                    yield from ((target.id, item.value) for target in item.targets)
+
+
+def test_every_enum_member_has_a_reader():
+    # a member that no code names, and whose value no code spells out as a
+    # string (a CLI choice, a config value), is dead code
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    members = [member for tree in trees for member in enum_members(tree)]
+    definitions = {id(value) for _, value in members}
+    literals = {node.value for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in definitions}
+    used = package_references()
+    dead = [name for name, value in members
+            if name not in used and ast.literal_eval(value) not in literals]
+    assert members and dead == [], f"enum members {dead} are neither named nor spelled"
 
 
 def test_cli_imports_no_private_name():

@@ -685,16 +685,69 @@ def test_scalar_row_equals_per_node_calls(result):
         assert trajectory.overflow_at is None
 
 
-def test_scalar_row_passes_numpy_floats():
-    seen = set()
+# The two kinds of run that build rows: own output and a given history.
+ROW_RUNS = {
+    "integrate": integrate,
+    "direct_local_errors": lambda problem, mesh, method: direct_local_errors(
+        dataclasses.replace(problem, exact=lambda x: np.exp(-x)), mesh, method),
+}
 
-    def kernel(x, y, t):
-        seen.add((type(x), type(y), type(t)))
-        return x * float(y)
 
-    problem = VideProblem(f=lambda x, y: -y, kernel=scalar_only(kernel), y0=1.0)
-    integrate(problem, make_mesh(0.0, 1.0, 0.1), Method.EXPLICIT)
-    assert seen == {(float, np.float64, np.float64)}
+def recording_rows(monkeypatch, kernel):
+    """``kernel`` made scalar-only, recording the arguments of its calls
+    while steppers builds a row: one list of (x, y, t) per row, holding
+    the objects themselves, so that each stays alive and its identity can
+    be compared after the run. Calls outside a row (the implicit solve's
+    residuals, a seed's new entry) are not recorded."""
+    rows, building = [], []
+
+    def recorded(x, y, t):
+        if building:
+            rows[-1].append((x, y, t))
+        return kernel(x, y, t)
+
+    build = steppers._kernel_row
+
+    def row(problem, x_outer, values, nodes, form=None):
+        rows.append([])
+        building.append(True)
+        try:
+            return build(problem, x_outer, values, nodes, form)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(steppers, "_kernel_row", row)
+    return scalar_only(recorded), rows
+
+
+def test_scalar_row_passes_numpy_floats(monkeypatch):
+    kernel, rows = recording_rows(monkeypatch, lambda x, y, t: x * float(y))
+    problem = dataclasses.replace(SCALAR_X_KERNEL, kernel=kernel)
+    for method in Method:
+        for run in ROW_RUNS.values():
+            rows.clear()
+            run(problem, make_mesh(0.0, 1.0, 0.1), method)
+            assert {tuple(map(type, args)) for row in rows for args in row} == {
+                (float, np.float64, np.float64)}, (method, run)
+
+
+@pytest.mark.parametrize("run", sorted(ROW_RUNS))
+@pytest.mark.parametrize("method", list(Method))
+def test_scalar_row_boxes_each_value_and_node_once_per_run(method, run, monkeypatch):
+    # every row that holds inner node j hands the kernel the same NumPy
+    # float for x_j, and the same one for the history value at j
+    kernel, rows = recording_rows(monkeypatch, lambda x, y, t: x * float(y))
+    problem = dataclasses.replace(SCALAR_X_KERNEL, kernel=kernel)
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    out = ROW_RUNS[run](problem, mesh, method)
+    history = out.w if run == "integrate" else np.exp(-mesh.nodes())
+    assert len(rows) >= mesh.n_steps - 1
+    for j in range(mesh.n_steps - 1):
+        holding = [row[j] for row in rows if len(row) > j]
+        assert len(holding) >= 2
+        _, y, t = holding[0]
+        assert y == history[j] and t == mesh.nodes()[j]
+        assert all(other[1] is y and other[2] is t for other in holding), j
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -779,6 +832,14 @@ def test_scalar_row_failure_names_the_node(method):
     with pytest.raises(StepEvaluationError) as excinfo:
         integrate(problem, mesh, method)
     assert str(excinfo.value) == f"callback failed at {point}"
+    assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+    assert excinfo.value.step_index == step
+    # on the exact history the same row names y(x_3) in place of w_3
+    x = mesh.nodes()
+    seeded = (point[0], float(np.exp(-x)[3]), point[2])
+    with pytest.raises(StepEvaluationError) as excinfo:
+        ROW_RUNS["direct_local_errors"](problem, mesh, method)
+    assert str(excinfo.value) == f"callback failed at {seeded}"
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
     assert excinfo.value.step_index == step
 
