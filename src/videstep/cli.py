@@ -8,7 +8,7 @@ reproduces one of the five figures, each a preset of run_experiment on
 the test equation (experiments.FIGURES).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (no convergence, or divergence without --allow-divergence).
+failure (a NumericalFailure, or divergence without --allow-divergence).
 
 Options resolve in layers, by config key: flags, then a JSON config file
 (--config), then the figure's preset (figure only), then the defaults.
@@ -29,15 +29,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .core import Method, VideProblem, make_mesh
-from .errors import (
-    DegenerateDenominator,
-    NoConvergence,
-    SingularDenominator,
-    SingularJacobian,
-    StepEvaluationError,
-    VidestepError,
-    ZeroError,
-)
+from .errors import NumericalFailure, VidestepError
 from .experiments import (
     FIGURES,
     ResultTable,
@@ -47,11 +39,6 @@ from .experiments import (
 )
 from .steppers import ImplicitSolveConfig
 from .test_problems import PROBLEM_IDS, TestEquationParams, builtin_problem
-
-# Errors of arithmetic origin exit 3; everything else about how the tool
-# was invoked exits 2.
-_NUMERICAL_ERRORS = (NoConvergence, SingularJacobian, SingularDenominator,
-                     DegenerateDenominator, ZeroError, StepEvaluationError)
 
 # Values of the options that neither a flag, the config file nor a
 # figure's preset sets, by config key; the solver settings default to
@@ -330,7 +317,7 @@ def main(argv=None) -> int:
         if command is not None:
             print(f"run `videstep {command} --help` for options", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         step = getattr(exc, "step_index", None)
         where = f" at step {step}" if step is not None else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)

@@ -404,6 +404,15 @@ def direct_local_errors(problem: VideProblem, mesh: Mesh, method: Method,
     return eps
 
 
+def _log_step_ratio(h1: float, h2: float) -> float:
+    """ln(h1/h2); RepeatedStep when it is 0, as for equal stepsizes."""
+    log_ratio = math.log(h1 / h2)
+    if log_ratio == 0.0:
+        raise RepeatedStep(f"stepsizes {float(h1)!r} and {float(h2)!r} are equal "
+                           "(ln(h1/h2) = 0); order undefined")
+    return log_ratio
+
+
 def pairwise_order(err1: float, err2: float, h1: float, h2: float) -> float:
     """Observed order p = ln(err1/err2) / ln(h1/h2) from two error magnitudes.
 
@@ -411,25 +420,19 @@ def pairwise_order(err1: float, err2: float, h1: float, h2: float) -> float:
     when either magnitude is below 1e-15 (the ratio is then rounding
     noise, so the order is undefined).
     """
-    log_ratio = math.log(h1 / h2)
-    if log_ratio == 0.0:
-        raise RepeatedStep(f"stepsizes {float(h1)!r} and {float(h2)!r} are equal "
-                           "(ln(h1/h2) = 0); order undefined")
+    log_ratio = _log_step_ratio(h1, h2)
     err1, err2 = abs(err1), abs(err2)
     if err1 < 1e-15 or err2 < 1e-15:
         raise ZeroError("error magnitude below 1e-15; order undefined")
     return math.log(err1 / err2) / log_ratio
 
 
-def endpoint_error(problem: VideProblem, x_d: float, h: float, method: Method,
-                   cfg: ImplicitSolveConfig | None = None,
-                   x0: float = 0.0) -> float:
-    """Signed global error at x_d from one run over [x0, x_d] at stepsize h.
-
-    Problems without an exact solution are measured against the
-    extrapolated reference of auto_reference.
+def endpoint_error(problem: VideProblem, mesh: Mesh, method: Method,
+                   cfg: ImplicitSolveConfig | None = None) -> float:
+    """Signed global error at x_d = mesh.xf from one run on ``mesh``,
+    against auto_reference's extrapolated reference when the problem has
+    no exact solution. ZeroError when the run diverges before x_d.
     """
-    mesh = make_mesh(x0, x_d, h)
     trajectory = integrate(problem, mesh, method, cfg)
     if trajectory.overflow_at is not None:
         raise ZeroError("trajectory diverged before x_d; error there undefined")

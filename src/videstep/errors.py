@@ -9,6 +9,7 @@ __all__ = [
     "TooManySteps",
     "NonFiniteInitialValue",
     "InvalidSolveConfig",
+    "NumericalFailure",
     "StepEvaluationError",
     "KernelCallMismatch",
     "NoConvergence",
@@ -53,7 +54,12 @@ class InvalidSolveConfig(VidestepError, ValueError):
     ValueError, the built-in type for an argument outside its domain."""
 
 
-class StepEvaluationError(VidestepError):
+class NumericalFailure(VidestepError):
+    """A computation failed for arithmetic reasons, not because of how it was
+    called: the command line exits 3 on it, and 2 on every other error."""
+
+
+class StepEvaluationError(NumericalFailure):
     """A user-supplied callback (f, K, a jacobian or the exact solution) failed,
     or returned a value a step cannot use: NaN, or ±inf where it must be finite."""
 
@@ -63,7 +69,7 @@ class KernelCallMismatch(VidestepError):
     as happens when it reduces over its array argument."""
 
 
-class NoConvergence(VidestepError):
+class NoConvergence(NumericalFailure):
     """Newton or fixed-point iteration hit the cap, or stalled, above tolerance."""
 
     def __init__(self, iterations: int, last_residual: float):
@@ -75,15 +81,15 @@ class NoConvergence(VidestepError):
         )
 
 
-class SingularJacobian(VidestepError):
+class SingularJacobian(NumericalFailure):
     """Newton update denominator is numerically zero."""
 
 
-class SingularDenominator(VidestepError):
+class SingularDenominator(NumericalFailure):
     """Propagation denominator D_{i+1} is numerically zero."""
 
 
-class DegenerateDenominator(VidestepError):
+class DegenerateDenominator(NumericalFailure):
     """Bound estimation denominator is too small to divide by."""
 
 
@@ -105,8 +111,10 @@ class LengthMismatch(VidestepError):
     """Array arguments that must agree in length do not."""
 
 
-class ZeroError(VidestepError):
-    """An error magnitude is too close to zero for a meaningful ratio."""
+class ZeroError(NumericalFailure):
+    """An error is undefined or too close to zero for a meaningful ratio: a
+    magnitude below 1e-15, or a run that diverged before the node where its
+    error is measured."""
 
 
 class RepeatedStep(VidestepError):

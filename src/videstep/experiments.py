@@ -26,10 +26,10 @@ Figures 1-3 emit the "bound" columns, so each equals `bound` on the test
 equation with its options; figure 4 emits them signed, and figure 5 the
 Delta of `errors` with the recovered epsilon of `local`.
 
-The order study (run_order_study) measures endpoint global errors across
-a stepsize ladder (expected slope 1); the consistency study
-(run_consistency_study) measures max direct local errors (expected
-slope 2).
+The order study (run_order_study, endpoint |Delta|, expected slope 1)
+and the consistency study (run_consistency_study, max direct local
+error, expected slope 2) are presets of one stepsize ladder, which
+checks every rung's mesh and stepsize before the first rung runs.
 
 Results are ResultTable objects: named columns plus a metadata dictionary
 of what the run computed (the command line adds the names of the run and
@@ -52,6 +52,7 @@ import numpy as np
 from .core import Mesh, Method, VideProblem, make_mesh
 from .error_analysis import (
     ErrorSource,
+    _log_step_ratio,
     amplitude_curve,
     auto_reference,
     direct_local_errors,
@@ -275,16 +276,26 @@ def run_experiment(columns: str, problem: VideProblem, mesh: Mesh, method: Metho
     return ResultTable(columns=table, metadata=metadata)
 
 
-def _ladder(h_list, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stepsizes, one error magnitude ``measure(h)`` per stepsize, and the
-    observed order between each rung and the previous one (NaN on the
-    first)."""
+def _ladder(h_list, x0: float, xf: float, names: tuple[str, str], measure,
+            metadata: dict) -> ResultTable:
+    """A stepsize study: per stepsize, h, ``measure(mesh)`` on its mesh over
+    [x0, xf] and the observed order against the previous row (NaN on the
+    first), the last two columns named ``names``; ``metadata`` plus
+    runtime_s. Every mesh is built, and each stepsize checked against the
+    one before it, before the first rung is measured.
+    """
+    started = time.perf_counter()
     h_arr = np.asarray(list(h_list), dtype=float)
-    errors = np.array([measure(h) for h in h_arr])
+    meshes = [make_mesh(x0, xf, h) for h in h_arr]
+    for h1, h2 in zip(h_arr, h_arr[1:]):
+        _log_step_ratio(h1, h2)
+    errors = np.array([measure(mesh) for mesh in meshes])
     orders = np.full(h_arr.size, np.nan)
     for k in range(1, h_arr.size):
         orders[k] = pairwise_order(errors[k - 1], errors[k], h_arr[k - 1], h_arr[k])
-    return h_arr, errors, orders
+    metadata["runtime_s"] = time.perf_counter() - started
+    return ResultTable(columns=dict(zip(("h", *names), (h_arr, errors, orders))),
+                       metadata=metadata)
 
 
 def run_order_study(problem: VideProblem, x_d: float, h_list, method: Method,
@@ -292,21 +303,13 @@ def run_order_study(problem: VideProblem, x_d: float, h_list, method: Method,
                     x0: float = 0.0) -> ResultTable:
     """Endpoint global error across a stepsize ladder, with pairwise slopes.
 
-    Emits one row per stepsize: h, |Delta(x_d)|, and the observed order p
-    computed from the previous row (NaN on the first). Expected p is about
-    1 on smooth problems.
+    Emits one row per stepsize: h, |Delta(x_d)| from a run over [x0, x_d],
+    and the observed order p computed from the previous row (NaN on the
+    first). Expected p is about 1 on smooth problems.
     """
-    started = time.perf_counter()
-    h_arr, delta_abs, p = _ladder(
-        h_list, lambda h: abs(endpoint_error(problem, x_d, h, method, cfg, x0)))
-    metadata = {
-        "kind": ExperimentKind.ORDER_STUDY,
-        "x_d": x_d,
-        "method": method,
-        "runtime_s": time.perf_counter() - started,
-    }
-    return ResultTable(columns={"h": h_arr, "delta_abs": delta_abs, "p": p},
-                       metadata=metadata)
+    return _ladder(h_list, x0, x_d, ("delta_abs", "p"),
+                   lambda mesh: abs(endpoint_error(problem, mesh, method, cfg)),
+                   {"kind": ExperimentKind.ORDER_STUDY, "x_d": x_d, "method": method})
 
 
 def run_consistency_study(problem: VideProblem, h_list, method: Method,
@@ -314,17 +317,14 @@ def run_consistency_study(problem: VideProblem, h_list, method: Method,
                           x0: float = 0.0, xf: float = 5.0) -> ResultTable:
     """Max direct local error across a stepsize ladder, with pairwise slopes.
 
-    Emits one row per stepsize: h, max|eps|, and the observed local order
-    q from the previous row (NaN on the first). Expected q is about 2 on
-    smooth problems with an exact solution.
+    Emits one row per stepsize: h, max|eps| over [x0, xf], and the
+    observed local order q from the previous row (NaN on the first).
+    Expected q is about 2 on smooth problems with an exact solution; a
+    problem without one raises MissingExact before the stepsizes are read.
     """
-    started = time.perf_counter()
-    h_arr, local_max, q = _ladder(h_list, lambda h: float(np.max(np.abs(
-        direct_local_errors(problem, make_mesh(x0, xf, h), method, cfg)))))
-    metadata = {
-        "kind": ExperimentKind.CONSISTENCY_STUDY,
-        "method": method,
-        "runtime_s": time.perf_counter() - started,
-    }
-    return ResultTable(columns={"h": h_arr, "local_max": local_max, "q": q},
-                       metadata=metadata)
+    if problem.exact is None:
+        raise MissingExact("direct local errors need the exact solution")
+    return _ladder(h_list, x0, xf, ("local_max", "q"),
+                   lambda mesh: float(np.max(np.abs(
+                       direct_local_errors(problem, mesh, method, cfg)))),
+                   {"kind": ExperimentKind.CONSISTENCY_STUDY, "method": method})

@@ -6,6 +6,7 @@ from videstep import (
     TestEquationParams,
     make_mesh,
     run_experiment,
+    steppers,
     test_equation,
     test_equation_exact,
 )
@@ -61,3 +62,18 @@ def figure_table():
     """The table of figure k through run_experiment, built from its preset."""
     return lambda figure_id: run_experiment(FIGURES[figure_id].columns,
                                             *_figure_run(figure_id))
+
+
+@pytest.fixture
+def march_calls(monkeypatch):
+    """The mesh of every steppers._march call made during the test: every
+    run, own or seeded, marches through it."""
+    meshes = []
+    march = steppers._march
+
+    def counting(problem, mesh, *rest):
+        meshes.append(mesh)
+        return march(problem, mesh, *rest)
+
+    monkeypatch.setattr(steppers, "_march", counting)
+    return meshes

@@ -49,7 +49,7 @@ def test_criterion_1_global_first_order_convergence():
     started = time.perf_counter()
     orders = {}
     for method in (Method.EXPLICIT, Method.IMPLICIT):
-        errs = [abs(endpoint_error(problem, 5.0, h, method)) for h in h_list]
+        errs = [abs(endpoint_error(problem, make_mesh(0.0, 5.0, h), method)) for h in h_list]
         orders[method.value] = [
             pairwise_order(errs[k - 1], errs[k], h_list[k - 1], h_list[k])
             for k in range(1, len(h_list))

@@ -12,8 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from videstep import (
+    DegenerateDenominator,
+    KernelCallMismatch,
     Method,
+    MissingExact,
+    NoConvergence,
+    RepeatedStep,
+    SingularDenominator,
+    SingularJacobian,
+    StepEvaluationError,
     TestEquationParams,
+    ZeroError,
     auto_reference,
     cubic_kernel,
     integrate,
@@ -161,6 +170,61 @@ def test_consistency_command(outdir):
     names, rows = read_csv(outdir / "c.csv")
     assert names == ["h", "local_max", "q"]
     assert 1.7 <= float(rows[1][2]) <= 2.3
+
+
+# Each study's command line up to its --h-list.
+_STUDIES = {
+    "order": ["order", "--problem", "cubic-kernel", "--y0", "1.8", "--x-d", "5"],
+    "consistency": ["consistency", "--problem", "test-equation", "--lambda=-1",
+                    "--gamma=-2", "--xf", "5"],
+}
+
+# A bad stepsize after a good one, and the message that refuses the list.
+_BAD_LADDERS = {
+    "repeated": ("0.002,0.002",
+                 "stepsizes 0.002 and 0.002 are equal (ln(h1/h2) = 0); order undefined"),
+    "non-tiling": ("0.002,0.3",
+                   "h=0.3 does not tile [0.0, 5.0]: 16.666666666666668 steps is not whole"),
+    "zero": ("0.002,0", "step size must be positive and finite, got h=0.0"),
+    "too-many-steps": ("0.1,1e-7", "5.000e+7 steps exceed the cap of 10000000"),
+}
+
+
+@pytest.mark.parametrize("ladder", sorted(_BAD_LADDERS))
+@pytest.mark.parametrize("command", sorted(_STUDIES))
+def test_bad_stepsize_list_is_refused_before_any_rung_runs(outdir, capsys, march_calls,
+                                                           command, ladder):
+    h_list, message = _BAD_LADDERS[ladder]
+    assert main(_STUDIES[command] + ["--h-list", h_list]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(outdir.iterdir()) == []
+    assert march_calls == []
+
+
+# Exit 3 is a numerical failure; every other VidestepError exits 2.
+_EXIT_CODES = [
+    (NoConvergence(iterations=50, last_residual=1e-3), 3),
+    (SingularJacobian("Newton denominator 0.000e+00 at x=0.5"), 3),
+    (SingularDenominator("propagation denominator 0.000e+00 at x=0.5"), 3),
+    (DegenerateDenominator("no node to estimate the amplitude from (L = 1e-300)"), 3),
+    (ZeroError("trajectory diverged before x_d; error there undefined"), 3),
+    (StepEvaluationError("callback kernel at (0.5, 1.0, 0.0)"), 3),
+    (KernelCallMismatch("kernel row disagrees with its node values"), 2),
+    (MissingExact("direct local errors need the exact solution"), 2),
+    (RepeatedStep("stepsizes 0.1 and 0.1 are equal"), 2),
+]
+
+
+@pytest.mark.parametrize("error,code", _EXIT_CODES,
+                         ids=[type(error).__name__ for error, _ in _EXIT_CODES])
+def test_exit_code_follows_the_error_type(outdir, capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr("videstep.cli.run_experiment", fail)
+    assert main(["solve", "--problem", "pure-ode", "--xf", "1", "--h", "0.1"]) == code
+    prefix = "numerical failure" if code == 3 else "error"
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
 def test_figure_command_uses_per_figure_method_default(outdir):
@@ -565,6 +629,10 @@ def test_no_command_line_ends_in_a_traceback(outdir):
     @example(argv=["order", "--problem", "pure-ode", "--x-d", "1", "--h-list", "0.1,0.1"])
     @example(argv=["consistency", "--problem", "pure-ode", "--xf", "1",
                    "--h-list", "0.1,0.1"])
+    @example(argv=_STUDIES["order"] + ["--h-list", "0.002,0.002"])
+    @example(argv=_STUDIES["order"] + ["--h-list", "0.002,0.3"])
+    @example(argv=_STUDIES["order"] + ["--h-list", "0.002,0"])
+    @example(argv=_STUDIES["order"] + ["--h-list", "0.1,1e-7"])
     def check(argv):
         code, err = _exit_code(argv)
         assert code in (0, 2, 3), (argv, code, err)

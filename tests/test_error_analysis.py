@@ -99,7 +99,7 @@ def test_exact_solution_must_start_at_y0(oscillatory_problem, method):
     with pytest.raises(InconsistentExact):
         direct_local_errors(oscillatory_problem, mesh, method)
     with pytest.raises(InconsistentExact):
-        endpoint_error(oscillatory_problem, 2.0, 0.1, method, x0=1.0)
+        endpoint_error(oscillatory_problem, mesh, method)
     # a problem without exact solution is measured against its reference
     problem = cubic_kernel()
     run = integrate(problem, mesh, method)
@@ -765,7 +765,7 @@ def test_endpoint_error_matches_full_run(oscillatory_problem):
     mesh = make_mesh(0.0, 1.0, 0.1)
     trajectory = integrate(oscillatory_problem, mesh, Method.EXPLICIT)
     expected = global_errors(trajectory, oscillatory_problem)[-1]
-    got = endpoint_error(oscillatory_problem, 1.0, 0.1, Method.EXPLICIT)
+    got = endpoint_error(oscillatory_problem, mesh, Method.EXPLICIT)
     assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -773,12 +773,13 @@ def test_endpoint_error_rejects_overflowed_run():
     problem = VideProblem(f=lambda x, y: 1e3 * y,
                           kernel=lambda x, y, t: 0.0 * y, y0=1.0)
     with pytest.raises(ZeroError):
-        endpoint_error(problem, 120.0, 1.0, Method.EXPLICIT)
+        endpoint_error(problem, make_mesh(0.0, 120.0, 1.0), Method.EXPLICIT)
 
 
 @pytest.mark.parametrize("method", [Method.EXPLICIT, Method.IMPLICIT])
 def test_observed_order_first_order_on_test_equation(oscillatory_problem, method):
     h1, h2 = 0.01, 0.005
-    p = pairwise_order(endpoint_error(oscillatory_problem, 5.0, h1, method),
-                       endpoint_error(oscillatory_problem, 5.0, h2, method), h1, h2)
+    p = pairwise_order(endpoint_error(oscillatory_problem, make_mesh(0.0, 5.0, h1), method),
+                       endpoint_error(oscillatory_problem, make_mesh(0.0, 5.0, h2), method),
+                       h1, h2)
     assert 0.85 <= p <= 1.15

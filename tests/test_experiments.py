@@ -7,9 +7,15 @@ from videstep import (
     FIGURES,
     ConfigurationWarning,
     Method,
+    MissingExact,
+    NonPositiveStep,
+    NonTilingStep,
+    RepeatedStep,
     ResultTable,
     SignCase,
     TestEquationParams,
+    TooManySteps,
+    VideProblem,
     cubic_kernel,
     direct_local_errors,
     integrate,
@@ -196,6 +202,43 @@ def test_consistency_study_manufactured_problem(tmp_path):
     config = sidecar(tmp_path, "consistency", "--problem", "pure-ode", "--y0", "2",
                      "--h-list", "0.04,0.02", "--method", "implicit", "--xf", "1")["config"]
     assert config["y0"] == 2.0
+
+
+# Each study with its problem and method, over a stepsize list.
+_STUDIES = {
+    "order": lambda h_list: run_order_study(cubic_kernel(y0=1.8), 5.0, h_list,
+                                            Method.EXPLICIT),
+    "consistency": lambda h_list: run_consistency_study(
+        test_equation(TestEquationParams(-1.0, -2.0)), h_list, Method.EXPLICIT),
+}
+
+
+@pytest.mark.parametrize("h_list,error,message", [
+    ([0.002, 0.002], RepeatedStep, r"^stepsizes 0\.002 and 0\.002 are equal "),
+    ([0.002, 0.3], NonTilingStep, r"^h=0\.3 does not tile \[0\.0, 5\.0\]"),
+    ([0.002, 0.0], NonPositiveStep, r"^step size must be positive and finite, got h=0\.0$"),
+    ([0.1, 1e-7], TooManySteps, r"^5\.000e\+7 steps exceed the cap"),
+], ids=["repeated", "non-tiling", "zero", "too-many-steps"])
+@pytest.mark.parametrize("study", sorted(_STUDIES))
+def test_study_refuses_a_bad_list_before_any_rung_runs(march_calls, study, h_list, error,
+                                                       message):
+    with pytest.raises(error, match=message):
+        _STUDIES[study](h_list)
+    assert march_calls == []
+
+
+def test_study_reports_an_input_fault_before_a_numerical_one(march_calls):
+    # the first rung would diverge (ZeroError, exit 3); the second does not tile
+    problem = VideProblem(f=lambda x, y: 1e3 * y, kernel=lambda x, y, t: 0.0 * y, y0=1.0)
+    with pytest.raises(NonTilingStep):
+        run_order_study(problem, 120.0, [1.0, 0.7], Method.EXPLICIT)
+    assert march_calls == []
+
+
+def test_consistency_study_needs_the_exact_solution(march_calls):
+    with pytest.raises(MissingExact):
+        run_consistency_study(cubic_kernel(), [0.1, 0.1], Method.EXPLICIT)
+    assert march_calls == []
 
 
 # --- ResultTable ------------------------------------------------------------
