@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,11 +142,11 @@ class Method(str, Enum):
     IMPLICIT = "implicit"
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     """What one step cost: solve iterations used and the final residual.
 
-    Explicit steps need no iteration and record zeros.
+    Explicit steps need no iteration and record zeros. A NamedTuple, the
+    cheapest record to build, as a run builds one per implicit step.
     """
 
     iterations: int

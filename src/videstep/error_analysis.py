@@ -418,10 +418,12 @@ def pairwise_order(err1: float, err2: float, h1: float, h2: float) -> float:
 
     Raises RepeatedStep when h1/h2 is 1 (ln(h1/h2) = 0), and ZeroError
     when either magnitude is below 1e-15 (the ratio is then rounding
-    noise, so the order is undefined).
+    noise) or is not finite, so that the order is undefined.
     """
     log_ratio = _log_step_ratio(h1, h2)
     err1, err2 = abs(err1), abs(err2)
+    if not (err1 < math.inf and err2 < math.inf):
+        raise ZeroError(f"error magnitudes {err1!r} and {err2!r}; order undefined")
     if err1 < 1e-15 or err2 < 1e-15:
         raise ZeroError("error magnitude below 1e-15; order undefined")
     return math.log(err1 / err2) / log_ratio
@@ -429,9 +431,9 @@ def pairwise_order(err1: float, err2: float, h1: float, h2: float) -> float:
 
 def endpoint_error(problem: VideProblem, mesh: Mesh, method: Method,
                    cfg: ImplicitSolveConfig | None = None) -> float:
-    """Signed global error at x_d = mesh.xf from one run on ``mesh``,
-    against auto_reference's extrapolated reference when the problem has
-    no exact solution. ZeroError when the run diverges before x_d.
+    """Signed global error at x_d = mesh.xf from one run on ``mesh``, against
+    auto_reference's extrapolated reference when the problem has no exact
+    solution. ZeroError when the run diverges before x_d, or y(x_d) is not finite.
     """
     trajectory = integrate(problem, mesh, method, cfg)
     if trajectory.overflow_at is not None:
@@ -439,4 +441,8 @@ def endpoint_error(problem: VideProblem, mesh: Mesh, method: Method,
     reference = None
     if problem.exact is None:
         reference = auto_reference(problem, trajectory, cfg)
-    return float(global_errors(trajectory, problem, reference)[-1])
+    delta = float(global_errors(trajectory, problem, reference)[-1])
+    if not math.isfinite(delta):
+        raise ZeroError(f"w - y at x_d = {mesh.xf!r} is {delta!r}: the run is finite, the "
+                        f"{'exact solution' if reference is None else 'reference'} is not")
+    return delta

@@ -113,8 +113,8 @@ class LengthMismatch(VidestepError):
 
 class ZeroError(NumericalFailure):
     """An error is undefined or too close to zero for a meaningful ratio: a
-    magnitude below 1e-15, or a run that diverged before the node where its
-    error is measured."""
+    magnitude below 1e-15 or not finite, or a run that diverged before the
+    node where its error is measured."""
 
 
 class RepeatedStep(VidestepError):

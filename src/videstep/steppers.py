@@ -32,26 +32,27 @@ unknown u carries net trapezium weight h**2/2: its endpoint correction
 subtracts half of its interior weight. The history part of R is constant
 during the solve and is computed once per step.
 
-One loop applies this step to one of two histories v: ``integrate`` feeds
-it its own output (v = w from y0; only such a run stops at an overflowing
-node), ``seeded_steps`` a given history, such as the exact solution, whose
-one-step values are not fed back. Both schemes need the sum of a kernel
-row K(x_m, v_j, x_j), j <= l, with its first and last entries;
-``_trapezium`` turns those into S. How the loop obtains the row depends
-on what the problem declares:
+A run (``integrate``) applies this step to its own output from y0 node by
+node; only a run stops at an overflowing node. ``seeded_steps`` applies
+it to a given history v, such as the exact solution, in one array pass: a
+C-level ``map`` per callback, and an elementwise Newton that makes the
+run's scalar calls and arithmetic, so every value is the same bit for bit.
+Both schemes need the sum of a kernel row K(x_m, v_j, x_j), j <= l, with
+its first and last entries; ``_trapezium`` turns those into S. How a row
+is obtained depends on what the problem declares:
 
 - ``kernel_depends_on_x=False``: the row at outer node m+1 is the row at
-  m plus one entry, so the loop keeps the running sum
+  m plus one entry, so a run keeps the running sum
   P_i = sum_{j<=i} K(x_j, v_j, x_j), O(n) per run: one kernel evaluation
-  per node, or one row over a given history in the first step. On
-  the implicit path a run takes the new entry from the last residual
-  evaluation, at the accepted u.
+  per node, on the implicit path from the last residual evaluation, at
+  the accepted u. Seeded steps take every P_i from the ``np.cumsum`` of
+  one row over the whole history, which adds in the same order.
 - otherwise (the default, and the only correct path for kernels that
   depend on x): each step evaluates one full row at its outer node,
-  O(n**2) per run. The implicit predictor reuses the previous step's row
-  at x_i, completed by the new entry K(x_i, v_i, x_i): the kernel value of
-  that step's last residual evaluation, or on a given history one scalar
-  call.
+  O(n**2) per run or seeded pass. The implicit predictor reuses the
+  previous step's row at x_i, completed by the new entry K(x_i, v_i, x_i):
+  the kernel value of that step's last residual evaluation, or on a given
+  history one scalar call.
 
 A full row is one vector call when the kernel takes arrays and one scalar
 call per node when it does not (see ``_on_nodes``, which evaluates every
@@ -224,8 +225,8 @@ class _CallForm:
     scalar-only callback has been given so far, so that each entry is
     boxed once per run, not once per row. A form is therefore shared only
     by calls whose array arguments are prefixes of the same unchanging
-    arrays, as the history and the nodes of the rows of one run
-    (``_march``) are; ``_on_nodes`` otherwise makes a fresh form per call.
+    arrays, as the history and the nodes of the rows of one run or seeded
+    pass are; ``_on_nodes`` otherwise makes a fresh form per call.
     """
 
     __slots__ = ("vector", "boxed")
@@ -362,123 +363,112 @@ def _row_sums(problem: VideProblem, x_outer: float, values: np.ndarray,
     return float(np.sum(row)), float(row[0]), float(row[-1])
 
 
-def _solve(problem: VideProblem, x_next: float, known: float, u: float,
-           h: float, cfg: ImplicitSolveConfig,
-           ) -> tuple[float, float, StepDiagnostics]:
-    """Solve the implicit step equation at x_next, starting from u.
-
-    ``known`` is w_i plus the history part of the memory term. Returns the
-    accepted u, the kernel value K(x_next, u, x_next) of the residual
-    evaluation that accepted it, and the solve diagnostics. Raises
-    MissingJacobian, SingularJacobian (|Newton denominator| < 1e-14) and
-    NoConvergence: at the cap, or once the iterate repeats itself or the
-    one before it, so that every later iteration would repeat.
+def _solver(problem: VideProblem, h: float, cfg: ImplicitSolveConfig):
+    """A run's implicit solve, built once (or MissingJacobian): ``solve(x_next,
+    known, u)`` solves the step equation at x_next from u, ``known`` being
+    w_i plus the history part of the memory, into u, K(x_next, u, x_next)
+    at that u and the StepDiagnostics; or raises SingularJacobian (|Newton
+    denominator| < 1e-14) or NoConvergence: at the cap, or once the iterate
+    repeats itself or the one before. ``at``: arity of the callback called.
     """
     f, kernel, f_y, kernel_y = problem.f, problem.kernel, problem.f_y, problem.kernel_y
     newton = cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS
     if newton and (f_y is None or kernel_y is None):
         raise MissingJacobian("Newton strategy requires f_y and kernel_y")
     abs_tol, rel_tol, cap = cfg.abs_tol, cfg.rel_tol, cfg.max_iterations
-    half_h2 = 0.5 * h * h  # 0.5*h*h*k is (0.5*h*h)*k, bit for bit
-    previous = None
-    for k in range(1, cap + 1):
-        f_u = _call(f, x_next, u)
-        k_u = _call(kernel, x_next, u, x_next)
-        r = u - known - h * f_u - half_h2 * k_u
-        if abs(r) <= abs_tol + rel_tol * abs(u):
-            return u, k_u, StepDiagnostics(iterations=k, last_residual=abs(r))
-        if k == cap:
-            raise NoConvergence(iterations=k, last_residual=abs(r))
-        d = 1.0
-        if newton:
-            d = (1.0 - h * _call(f_y, x_next, u)
-                 - half_h2 * _call(kernel_y, x_next, u, x_next))
-            if abs(d) < JACOBIAN_FLOOR:
-                raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
-        u_next = u - r / d
-        if u_next == u or u_next == previous:
-            raise NoConvergence(iterations=k, last_residual=abs(r))
-        previous, u = u, u_next
-    raise AssertionError("unreachable")
+    half_h2, isfinite = 0.5 * h * h, math.isfinite  # (0.5*h*h)*k is 0.5*h*h*k
+
+    def solve(x_next, known, u):
+        previous = None
+        try:
+            for k in range(1, cap + 1):
+                at = 2
+                if not isfinite(f_u := float(f(x_next, u))):
+                    raise _failure("returned non-finite value", (x_next, u))
+                at = 3
+                if not isfinite(k_u := float(kernel(x_next, u, x_next))):
+                    raise _failure("returned non-finite value", (x_next, u, x_next))
+                r = u - known - h * f_u - half_h2 * k_u
+                if abs(r) <= abs_tol + rel_tol * abs(u):
+                    return u, k_u, StepDiagnostics(k, abs(r))
+                if k == cap:
+                    raise NoConvergence(iterations=k, last_residual=abs(r))
+                d = 1.0
+                if newton:
+                    at = 2
+                    if not isfinite(d_f := float(f_y(x_next, u))):
+                        raise _failure("returned non-finite value", (x_next, u))
+                    at = 3
+                    if not isfinite(d_k := float(kernel_y(x_next, u, x_next))):
+                        raise _failure("returned non-finite value", (x_next, u, x_next))
+                    d = 1.0 - h * d_f - half_h2 * d_k
+                    if abs(d) < JACOBIAN_FLOOR:
+                        raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
+                u_next = u - r / d
+                if u_next == u or u_next == previous:
+                    raise NoConvergence(iterations=k, last_residual=abs(r))
+                previous, u = u, u_next
+        except VidestepError:
+            raise
+        except Exception as exc:
+            raise _failure("failed", (x_next, u, x_next)[:at]) from exc
+    return solve
 
 
 def _march(problem: VideProblem, mesh: Mesh, method: Method,
-           cfg: ImplicitSolveConfig | None, seed,
+           cfg: ImplicitSolveConfig | None,
            ) -> tuple[np.ndarray, list[StepDiagnostics], int | None]:
-    """The stepping loop of both methods (see the module docstring): on its
-    own output from y0 when ``seed`` is None, else on the history ``seed``.
-    Returns the outputs, truncated after an overflowing node of an own
-    run, one StepDiagnostics per step, and the overflow index or None.
+    """The stepping loop of a run of both methods (see the module
+    docstring). Returns the outputs, truncated after an overflowing node,
+    one StepDiagnostics per step, and the overflow index or None.
     """
     check_step_count(mesh.n_steps)
-    own = seed is None
-    if own and not math.isfinite(problem.y0):
+    if not math.isfinite(problem.y0):
         raise NonFiniteInitialValue(f"y0 must be finite, got {problem.y0}")
-    history = out = np.empty(mesh.n_steps + 1)
-    if not own:
-        history = np.asarray(seed, dtype=float)
-        if history.size != mesh.n_steps + 1:
-            raise LengthMismatch(f"{history.size} values for {mesh.n_steps + 1} nodes")
-    out[0] = problem.y0 if own else history[0]
-    if cfg is None:
-        cfg = ImplicitSolveConfig()
-    x0, h = mesh.x0, mesh.h
-    nodes = mesh.nodes()
-    running = not problem.kernel_depends_on_x
-    implicit = method == Method.IMPLICIT
-    form = _CallForm()
+    out = np.full(mesh.n_steps + 1, problem.y0, dtype=float)
+    x0, h, nodes, form = mesh.x0, mesh.h, mesh.nodes(), _CallForm()
+    running, implicit = not problem.kernel_depends_on_x, method == Method.IMPLICIT
     # Sum, first and last entry of the kernel row at outer node i over
-    # v_0..v_i: the memory of the explicit step from node i, and of the
+    # w_0..w_i: the memory of the explicit step from node i and of the
     # implicit predictor.
     total = first = last = 0.0
     diagnostics: list[StepDiagnostics] = []
     for i in range(mesh.n_steps):
         x_i = x0 + h * i  # bitwise nodes[i]
-        v_i = float(history[i])
+        w_i = float(out[i])
         try:
             if running and (i == 0 or not implicit):
-                # The one new kernel value of node i (after node 0 the
-                # implicit path takes it at the end of the step instead).
-                # A run takes it at history[i], a NumPy float, so an
+                # The new kernel value of node i (implicit: from the solve
+                # after node 0), at out[i], a NumPy float, so that an
                 # overflowing kernel yields inf and ends the run.
-                if own:
-                    last = _call(problem.kernel, x_i, history[i], x_i, inf_ok=True)
-                else:
-                    if i == 0:
-                        # K ignores x, so one row holds every entry K(., v_j, x_j).
-                        row = _kernel_row(problem, x0, history, nodes, form)
-                    last = float(row[i])
+                last = _call(problem.kernel, x_i, out[i], x_i, inf_ok=True)
                 total += last
                 if i == 0:
                     first = last
             elif not (running or implicit) and i > 0:
-                total, first, last = _row_sums(problem, x_i, history[: i + 1],
+                total, first, last = _row_sums(problem, x_i, out[: i + 1],
                                                nodes[: i + 1], form)
             memory = _trapezium(h, total, first, last) if i > 0 else 0.0
-            v_next = v_i + h * _call(problem.f, x_i, v_i) + memory
+            w_next = w_i + h * _call(problem.f, x_i, w_i) + memory
             diag = _EXPLICIT_DIAGNOSTICS
             if implicit:
                 x_next = x0 + h * (i + 1)
                 if running:
                     row_total, row_first = total, first
                 else:
-                    row_total, row_first, _ = _row_sums(problem, x_next, history[: i + 1],
+                    row_total, row_first, _ = _row_sums(problem, x_next, out[: i + 1],
                                                         nodes[: i + 1], form)
-                if not own:
-                    # The new entry K(x_{i+1}, v_{i+1}, x_{i+1}) of a seed.
-                    last = (float(row[i + 1]) if running else _call(
-                        problem.kernel, x_next, history[i + 1], nodes[i + 1], inf_ok=True))
-                known = v_i + _trapezium(h, row_total, row_first, 0.0)
-                v_next, k_u, diag = _solve(problem, x_next, known, v_next, h, cfg)
-                if own:
-                    last = k_u
+                known = w_i + _trapezium(h, row_total, row_first, 0.0)
+                if i == 0:  # built in the first step, so its error comes in call order
+                    solve = _solver(problem, h, ImplicitSolveConfig() if cfg is None else cfg)
+                w_next, last, diag = solve(x_next, known, w_next)
                 total, first = row_total + last, row_first
         except VidestepError as exc:
             exc.step_index = i + 1
             raise
         diagnostics.append(diag)
-        out[i + 1] = v_next
-        if own and (not math.isfinite(v_next) or abs(v_next) > OVERFLOW_CUTOFF):
+        out[i + 1] = w_next
+        if not math.isfinite(w_next) or abs(w_next) > OVERFLOW_CUTOFF:
             return out[: i + 2], diagnostics, i + 1
     return out, diagnostics, None
 
@@ -487,12 +477,9 @@ def integrate(problem: VideProblem, mesh: Mesh, method: Method,
               cfg: ImplicitSolveConfig | None = None) -> Trajectory:
     """Run a full trajectory of ``method`` over ``mesh``.
 
-    The initial node carries y0 exactly. When the problem declares
-    ``kernel_depends_on_x=False`` the memory term is a running sum and
-    each step costs one kernel evaluation, O(n_steps) in total. Otherwise
-    the outer abscissa changes every step, invalidating any cached kernel
-    values, so each step evaluates one full history row and the total
-    kernel cost is O(n_steps**2).
+    The initial node carries y0 exactly. The kernel cost is O(n_steps)
+    with ``kernel_depends_on_x=False`` (a running sum), otherwise one full
+    history row per step, O(n_steps**2) (see the module docstring).
 
     If a computed node exceeds 1e300 in magnitude (or is non-finite) the
     run stops there: the returned arrays are truncated after the offending
@@ -508,9 +495,86 @@ def integrate(problem: VideProblem, mesh: Mesh, method: Method,
     NonFiniteInitialValue
         y0 is infinite or NaN.
     """
-    w, diagnostics, overflow_at = _march(problem, mesh, method, cfg, None)
+    w, diagnostics, overflow_at = _march(problem, mesh, method, cfg)
     return Trajectory(mesh=mesh, w=w.copy(), method=method,
                       step_diagnostics=diagnostics, overflow_at=overflow_at)
+
+
+def _mapped(fn, columns: tuple, inf_ok: bool = False):
+    """``fn`` at each entry of ``columns`` by one C-level ``map``, each value
+    taken by float() and checked as _call checks it: the values before the
+    first entry that fails, and its error or None. No call is repeated.
+    """
+    values, error = [], None
+    try:
+        values.extend(map(float, map(fn, *columns)))  # keeps what came before a raise
+    except VidestepError as exc:
+        error = exc
+    except Exception as exc:
+        error = _failure("failed", tuple(c[len(values)] for c in columns))
+        error.__cause__ = exc
+    out = np.array(values, dtype=float)
+    for j in np.flatnonzero(np.isnan(out) if inf_ok else ~np.isfinite(out))[:1]:
+        return out[:j], _failure("returned non-finite value", tuple(c[j] for c in columns))
+    return out, error
+
+
+def _solve_all(problem: VideProblem, x_next: np.ndarray, known: np.ndarray, u: np.ndarray,
+               h: float, cfg: ImplicitSolveConfig):
+    """The implicit step equations at ``x_next`` solved at once from ``u`` by
+    an elementwise Newton (or fixed-point) iteration; a node retires when
+    its residual test passes. Each node gets _solver's calls (by _mapped)
+    and arithmetic, so its iterates and error are _solver's bit for bit.
+    Returns the values before the first failing node, and its error.
+    """
+    f, kernel, f_y, kernel_y = problem.f, problem.kernel, problem.f_y, problem.kernel_y
+    newton = cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS
+    if newton and (f_y is None or kernel_y is None):
+        return u[:0], MissingJacobian("Newton strategy requires f_y and kernel_y")
+    half_h2, accepted = 0.5 * h * h, np.empty(u.size)
+    # Arrays of the nodes still going, ``at`` their indices; ``failed``: the
+    # first failing node so far and its error. NaN equals no iterate.
+    at, previous, failed = np.arange(u.size), np.full(u.size, np.nan), [u.size, None]
+
+    def fail(p: int, error) -> int:
+        if error is not None:
+            failed[:] = at[p], error
+        return p
+
+    def calls(fn, gn):  # fn(x, u), then gn(x, u, x), at each node
+        xs, us = x_next.tolist(), u.tolist()
+        a, e = _mapped(fn, (xs, us))
+        p = fail(a.size, e)
+        b, e = _mapped(gn, (xs[:p], us[:p], xs[:p]))
+        return a[: b.size], b, fail(b.size, e)
+
+    for k in range(1, cfg.max_iterations + 1):
+        f_u, k_u, p = calls(f, kernel)
+        with np.errstate(all="ignore"):  # as on floats: inf - inf is NaN
+            r = u[:p] - known[:p] - h * f_u - half_h2 * k_u
+            done = np.abs(r) <= cfg.abs_tol + cfg.rel_tol * np.abs(u[:p])
+        accepted[at[:p][done]] = u[:p][done]
+        going = np.flatnonzero(~done)
+        at, x_next, known, u, previous, r = (a[going] for a in (at, x_next, known, u,
+                                                                 previous, r))
+        if at.size and k == cfg.max_iterations:
+            fail(0, NoConvergence(iterations=k, last_residual=float(abs(r[0]))))
+        if not at.size or k == cfg.max_iterations:
+            break
+        d, p = 1.0, at.size
+        if newton:
+            d_f, d_k, p = calls(f_y, kernel_y)
+            with np.errstate(all="ignore"):
+                d = 1.0 - h * d_f - half_h2 * d_k
+            for j in np.flatnonzero(np.abs(d) < JACOBIAN_FLOOR)[:1]:
+                p = fail(j, SingularJacobian(f"Newton denominator {d[j]:.3e} at x={x_next[j]}"))
+            d = d[:p]
+        with np.errstate(all="ignore"):
+            u_next = u[:p] - r[:p] / d
+        for j in np.flatnonzero((u_next == u[:p]) | (u_next == previous[:p]))[:1]:
+            p = fail(j, NoConvergence(iterations=k, last_residual=float(abs(r[j]))))
+        at, x_next, known, previous, u = at[:p], x_next[:p], known[:p], u[:p], u_next[:p]
+    return accepted[: failed[0]], failed[1]
 
 
 def seeded_steps(problem: VideProblem, mesh: Mesh, method: Method, values,
@@ -519,17 +583,67 @@ def seeded_steps(problem: VideProblem, mesh: Mesh, method: Method, values,
 
     Entry i+1 is the value the method computes for node i+1 from
     values[0..i], solving the step equation on the implicit path; entry 0
-    is values[0]. With ``kernel_depends_on_x=False`` the kernel is
-    evaluated once over all of ``values`` and each step's row sum is a
-    running sum, O(n_steps) in all; otherwise each step evaluates one
-    row, O(n_steps**2). Exceptions raised inside a step gain a
-    ``step_index`` attribute, as in integrate.
-
-    Raises
-    ------
-    TooManySteps
-        The mesh has more than MAX_STEPS steps.
-    LengthMismatch
-        ``values`` does not hold one entry per mesh node.
+    is values[0]. All steps are taken in one array pass, bit for bit as one
+    at a time (see the module docstring): one call of f per node, of f, K,
+    f_y and K_y per node and Newton iteration, and one kernel row over all
+    ``values`` with ``kernel_depends_on_x=False``, else one per step. An
+    exception gains the ``step_index`` of the first failing step. Raises
+    TooManySteps (more than MAX_STEPS steps) and LengthMismatch (``values``
+    does not hold one entry per mesh node).
     """
-    return _march(problem, mesh, method, cfg, values)[0]
+    check_step_count(mesh.n_steps)
+    history = np.asarray(values, dtype=float)
+    n, h = mesh.n_steps, mesh.h
+    if history.size != n + 1:
+        raise LengthMismatch(f"{history.size} values for {n + 1} nodes")
+    implicit, running = method == Method.IMPLICIT, not problem.kernel_depends_on_x
+    nodes, form = mesh.nodes(), _CallForm()
+    x, v = nodes.tolist(), history.tolist()  # x[i] is x0 + h*i, bit for bit
+    # Sum, first and last entry of the kernel row over v_0..v_i at x_i (rows
+    # 0-2: explicit step, predictor) and at x_{i+1} (3-5: step equation).
+    sums = np.zeros((6, n + 1))
+    if running:
+        try:  # K ignores x, so one row holds every entry K(., v_j, x_j)
+            row = _kernel_row(problem, mesh.x0, history, nodes, form)
+        except VidestepError as exc:
+            exc.step_index = 1
+            raise
+        sums[[1, 4]], sums[2] = row[0], row
+    # Calls are made for the steps before ``stop``, the first failed so far
+    # (``error``). In step i a row at x_i comes before f, the rest after it.
+    f_v, error = _mapped(problem.f, (x[:n], v[:n]))
+    stop = f_v.size
+    if not running:
+        rows = sums[3:] if implicit else sums[:3]
+        for i in range(1 - implicit, min(stop + 1 - implicit, n)):
+            try:
+                rows[:, i] = _row_sums(problem, x[i + implicit], history[: i + 1],
+                                       nodes[: i + 1], form)
+            except VidestepError as exc:
+                stop, error = i, exc
+                break
+        if implicit:  # K(x_{i+1}, v_{i+1}, x_{i+1}) completes the row of step i+1
+            new, e = _mapped(problem.kernel, (x[1: stop + 1], history[1: stop + 1],
+                                              nodes[1: stop + 1]), inf_ok=True)
+            if e is not None:
+                stop, error = new.size, e
+    out = history[: stop + 1].copy()
+    with np.errstate(all="ignore"):  # as on floats: inf - inf is NaN
+        if running:
+            sums[[0, 3]] = np.cumsum(row)
+        elif implicit:
+            sums[:3, 1: stop + 1] = sums[3, :stop] + new[:stop], sums[4, :stop], new[:stop]
+        memory = _trapezium(h, *sums[:3, :stop])
+        memory[:1] = 0.0
+        out[1:] = history[:stop] + h * f_v[:stop] + memory
+        known = history[:stop] + _trapezium(h, *sums[3:5, :stop], 0.0)
+    if implicit and stop:
+        solved, e = _solve_all(problem, nodes[1: stop + 1], known, out[1:], h,
+                               ImplicitSolveConfig() if cfg is None else cfg)
+        if e is not None:
+            stop, error = solved.size, e
+        out[1: stop + 1] = solved
+    if error is not None:
+        error.step_index = stop + 1
+        raise error
+    return out

@@ -2,6 +2,7 @@ import pytest
 
 from videstep import (
     FIGURES,
+    error_analysis,
     Method,
     TestEquationParams,
     make_mesh,
@@ -66,14 +67,19 @@ def figure_table():
 
 @pytest.fixture
 def march_calls(monkeypatch):
-    """The mesh of every steppers._march call made during the test: every
-    run, own or seeded, marches through it."""
+    """The mesh of every run (steppers._march) and every seeded pass
+    (seeded_steps, as steppers and error_analysis hold it) made during the
+    test."""
     meshes = []
-    march = steppers._march
 
-    def counting(problem, mesh, *rest):
-        meshes.append(mesh)
-        return march(problem, mesh, *rest)
+    def counting(fn):
+        def counted(problem, mesh, *rest):
+            meshes.append(mesh)
+            return fn(problem, mesh, *rest)
+        return counted
 
-    monkeypatch.setattr(steppers, "_march", counting)
+    monkeypatch.setattr(steppers, "_march", counting(steppers._march))
+    seeded = counting(steppers.seeded_steps)
+    for module in (steppers, error_analysis):
+        monkeypatch.setattr(module, "seeded_steps", seeded)
     return meshes

@@ -201,6 +201,18 @@ def test_bad_stepsize_list_is_refused_before_any_rung_runs(outdir, capsys, march
     assert march_calls == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_order_with_a_non_finite_error_exits_3_without_a_table(outdir, capsys):
+    # the exact solution overflows before x_d = 20: no row of inf and NaN
+    argv = shlex.split("order --problem test-equation --lambda=100 --gamma=200 "
+                       "--x-d 20 --h-list 0.5,0.25")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: w - y at x_d = 20.0 is -inf: the run is finite, "
+        "the exact solution is not\n")
+    assert list(outdir.iterdir()) == []
+
+
 # Exit 3 is a numerical failure; every other VidestepError exits 2.
 _EXIT_CODES = [
     (NoConvergence(iterations=50, last_residual=1e-3), 3),

@@ -776,6 +776,23 @@ def test_endpoint_error_rejects_overflowed_run():
         endpoint_error(problem, make_mesh(0.0, 120.0, 1.0), Method.EXPLICIT)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_endpoint_error_refuses_a_non_finite_exact_solution():
+    # the exact solution overflows near x = 7 while the explicit run stays
+    # finite: the error at x_d = 20 is -inf, and the exact side is named
+    problem = test_equation(TestEquationParams(lam=100.0, gamma=200.0))
+    with pytest.raises(ZeroError, match=r"^w - y at x_d = 20\.0 is -inf: the run is "
+                                        r"finite, the exact solution is not$"):
+        endpoint_error(problem, make_mesh(0.0, 20.0, 0.5), Method.EXPLICIT)
+
+
+@pytest.mark.parametrize("errors", [(math.inf, 1e-2), (1e-2, -math.inf), (math.nan, 1e-2),
+                                    (math.inf, math.inf)])
+def test_pairwise_order_refuses_a_non_finite_error(errors):
+    with pytest.raises(ZeroError, match=r"order undefined$"):
+        pairwise_order(*errors, 0.02, 0.01)
+
+
 @pytest.mark.parametrize("method", [Method.EXPLICIT, Method.IMPLICIT])
 def test_observed_order_first_order_on_test_equation(oscillatory_problem, method):
     h1, h2 = 0.01, 0.005

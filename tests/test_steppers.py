@@ -1054,3 +1054,274 @@ def test_implicit_newton_callback_counts_per_step():
     assert calls["kernel"] == [1] + [2] * mesh.n_steps
     assert calls["f_y"] == calls["kernel_y"] == [0] + [1] * mesh.n_steps
     assert [sum(c) for c in calls.values()] == [300, 201, 100, 100]
+
+
+# --- the seeded array pass against the per-node loop it replaced -------------------
+
+
+def solve_one(problem, x_next, known, u, h, cfg):
+    """The per-node implicit solve of the loop below."""
+    if cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS and (
+            problem.f_y is None or problem.kernel_y is None):
+        raise MissingJacobian("Newton strategy requires f_y and kernel_y")
+    previous = None
+    for k in range(1, cfg.max_iterations + 1):
+        f_u = steppers._call(problem.f, x_next, u)
+        k_u = steppers._call(problem.kernel, x_next, u, x_next)
+        r = u - known - h * f_u - 0.5 * h * h * k_u
+        if abs(r) <= cfg.abs_tol + cfg.rel_tol * abs(u):
+            return u
+        if k == cfg.max_iterations:
+            raise NoConvergence(iterations=k, last_residual=abs(r))
+        d = 1.0
+        if cfg.strategy == SolveStrategy.NEWTON_WITH_JACOBIANS:
+            d = (1.0 - h * steppers._call(problem.f_y, x_next, u)
+                 - 0.5 * h * h * steppers._call(problem.kernel_y, x_next, u, x_next))
+            if abs(d) < steppers.JACOBIAN_FLOOR:
+                raise SingularJacobian(f"Newton denominator {d:.3e} at x={x_next}")
+        u_next = u - r / d
+        if u_next == u or u_next == previous:
+            raise NoConvergence(iterations=k, last_residual=abs(r))
+        previous, u = u, u_next
+
+
+def seeded_loop(problem, mesh, method, values, cfg=None):
+    """One step of ``method`` from each prefix of ``values``, one step at a
+    time: the loop seeded_steps ran before it became one array pass, kept
+    as its reference."""
+    cfg = ImplicitSolveConfig() if cfg is None else cfg
+    history = np.asarray(values, dtype=float)
+    out = np.empty(mesh.n_steps + 1)
+    out[0] = history[0]
+    x0, h, nodes, form = mesh.x0, mesh.h, mesh.nodes(), steppers._CallForm()
+    running, implicit = not problem.kernel_depends_on_x, method == Method.IMPLICIT
+    total = first = last = 0.0
+    for i in range(mesh.n_steps):
+        x_i, v_i = x0 + h * i, float(history[i])
+        try:
+            if running and (i == 0 or not implicit):
+                if i == 0:
+                    row = steppers._kernel_row(problem, x0, history, nodes, form)
+                    first = float(row[0])
+                last = float(row[i])
+                total += last
+            elif not (running or implicit) and i > 0:
+                total, first, last = steppers._row_sums(problem, x_i, history[: i + 1],
+                                                        nodes[: i + 1], form)
+            memory = steppers._trapezium(h, total, first, last) if i > 0 else 0.0
+            v_next = v_i + h * steppers._call(problem.f, x_i, v_i) + memory
+            if implicit:
+                x_next = x0 + h * (i + 1)
+                row_total, row_first = total, first
+                if not running:
+                    row_total, row_first, _ = steppers._row_sums(
+                        problem, x_next, history[: i + 1], nodes[: i + 1], form)
+                last = float(row[i + 1]) if running else steppers._call(
+                    problem.kernel, x_next, history[i + 1], nodes[i + 1], inf_ok=True)
+                known = v_i + steppers._trapezium(h, row_total, row_first, 0.0)
+                v_next = solve_one(problem, x_next, known, v_next, h, cfg)
+                total, first = row_total + last, row_first
+        except VidestepError as exc:
+            exc.step_index = i + 1
+            raise
+        out[i + 1] = v_next
+    return out
+
+
+def outcome(run):
+    """The outputs of ``run`` as their bits, or its error's type, message,
+    step index and the type of its cause."""
+    try:
+        return run().view(np.int64).tolist()
+    except VidestepError as exc:
+        return (type(exc), str(exc), exc.step_index, type(exc.__cause__))
+
+
+def seeds(problem, mesh, method, cfg):
+    """Histories to seed with: the run's own output, that output perturbed,
+    and the exact solution where there is one."""
+    own = integrate(problem, mesh, method, cfg).w
+    x = mesh.nodes()
+    found = {"own": own, "perturbed": own * (1.0 + 1e-3 * np.sin(7.0 * x)) + 1e-4 * np.cos(3.0 * x)}
+    if problem.exact is not None:
+        found["exact"] = np.array([problem.exact(t) for t in x])
+    return found
+
+
+@pytest.mark.parametrize("strategy", list(SolveStrategy))
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("problem_id", sorted(SEEDED_PROBLEMS))
+def test_seeded_steps_equal_the_per_node_loop(problem_id, method, strategy):
+    # bit for bit, iteration caps that stop some nodes included
+    problem = SEEDED_PROBLEMS[problem_id]()
+    mesh = make_mesh(0.0, 2.0, 0.02)
+    for cap in (50, 2, 1):
+        cfg = ImplicitSolveConfig(strategy=strategy, max_iterations=cap)
+        for seed_id, history in seeds(problem, mesh, method, ImplicitSolveConfig(
+                strategy=strategy)).items():
+            expected = outcome(lambda: seeded_loop(problem, mesh, method, history, cfg))
+            got = outcome(lambda: seeded_steps(problem, mesh, method, history, cfg))
+            assert got == expected, (seed_id, cap)
+
+
+def planted(problem, **where):
+    """``problem`` with each named callback returning NaN at the arguments
+    for which its predicate holds (scalar calls only)."""
+    def wrap(fn, holds):
+        def wrapped(*args):
+            if all(np.ndim(a) == 0 for a in args) and holds(*map(float, args)):
+                return math.nan
+            return fn(*args)
+        return wrapped
+    return dataclasses.replace(problem, **{name: wrap(getattr(problem, name), holds)
+                                           for name, holds in where.items()})
+
+
+def slowed_newton(problem, x_bad):
+    """``problem`` whose f_y is wrong by 1,000/h at x_bad, so that the Newton
+    solve to x_bad closes only 1% of its error per iteration and hits the cap."""
+    f_y = problem.f_y
+    return dataclasses.replace(
+        problem, f_y=lambda x, y: f_y(x, y) - (1e3 if x == x_bad else 0.0))
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("problem_id", ["test-equation", "x-dependent",
+                                        "x-dependent-scalar-only"])
+def test_seeded_failures_equal_the_per_node_loop(problem_id, method):
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    x = mesh.nodes().tolist()
+    base = SEEDED_PROBLEMS[problem_id]()
+    history = np.cos(mesh.nodes()) + 0.5
+    cases = {
+        "f-nan": planted(base, f=lambda s, y: s == x[5]),
+        "kernel-nan": planted(base, kernel=lambda s, y, t: s == x[7]),
+        "f_y-nan": planted(base, f_y=lambda s, y: s == x[4]),
+        "kernel_y-nan": planted(base, kernel_y=lambda s, y, t: s == x[6]),
+        "no-jacobian": dataclasses.replace(base, kernel_y=None),
+        "singular": dataclasses.replace(base, f_y=lambda s, y: 1.0 / mesh.h),
+        "slowed-3-nan-kernel-7": planted(slowed_newton(base, x[3]),
+                                         kernel=lambda s, y, t: s == x[7]),
+        "nan-kernel-3-slowed-7": planted(slowed_newton(base, x[7]),
+                                         kernel=lambda s, y, t: s == x[3]),
+    }
+    for case, problem in cases.items():
+        for strategy in SolveStrategy:
+            cfg = ImplicitSolveConfig(strategy=strategy)
+            expected = outcome(lambda: seeded_loop(problem, mesh, method, history, cfg))
+            assert outcome(lambda: seeded_steps(problem, mesh, method, history, cfg)) \
+                == expected, (case, strategy)
+    # of two failing steps the lower is reported, whichever error comes first
+    cfg = ImplicitSolveConfig()
+    for case, error in [("slowed-3-nan-kernel-7", NoConvergence),
+                        ("nan-kernel-3-slowed-7", StepEvaluationError)]:
+        with pytest.raises(error) as excinfo:
+            seeded_steps(cases[case], mesh, Method.IMPLICIT, history, cfg)
+        assert excinfo.value.step_index == 3
+
+
+@pytest.mark.parametrize("first", ["predictor", "row", "entry", "solve"])
+def test_seeded_full_row_step_reports_its_first_call_to_fail(first):
+    # in an implicit full-row step the calls come f, row at x_{i+1}, new
+    # entry, solve; of several failures in step 3 the first in that order
+    # is reported
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    x = mesh.nodes().tolist()
+    history = np.cos(mesh.nodes()) + 0.5
+    v = history.tolist()
+    failing = {
+        "predictor": lambda p: planted(p, f=lambda s, y: s == x[3] and y == v[3]),
+        "row": lambda p: dataclasses.replace(p, kernel=lambda s, y, t, k=p.kernel: np.where(
+            (s == x[4]) & (np.asarray(t) == x[1]), math.nan, k(s, y, t))),
+        "entry": lambda p: planted(p, kernel=lambda s, y, t: s == t == x[4] and y == v[4]),
+        "solve": lambda p: planted(p, f=lambda s, y: s == x[4] and y != v[4]),
+    }
+    order = list(failing)
+    problem = X_KERNEL
+    for name in order[order.index(first):]:
+        problem = failing[name](problem)
+    expected = outcome(lambda: seeded_loop(problem, mesh, Method.IMPLICIT, history))
+    got = outcome(lambda: seeded_steps(problem, mesh, Method.IMPLICIT, history))
+    assert got == expected and got[2] == 4
+    alone = outcome(lambda: seeded_steps(failing[first](X_KERNEL), mesh, Method.IMPLICIT,
+                                         history))
+    assert alone == got
+
+
+def test_seeded_steps_take_no_step_by_step_run(monkeypatch):
+    marched = []
+    monkeypatch.setattr(steppers, "_march", lambda *args: marched.append(args))
+    mesh = make_mesh(0.0, 1.0, 0.05)
+    for problem_id in ("test-equation", "x-dependent"):
+        problem = SEEDED_PROBLEMS[problem_id]()
+        for method in Method:
+            seeded_steps(problem, mesh, method, np.cos(mesh.nodes()) + 1.0)
+    assert marched == []
+
+
+@pytest.mark.parametrize("problem_id", ["test-equation", "x-dependent"])
+def test_seeded_implicit_callback_counts_per_node(problem_id):
+    # the array pass calls each callback at each abscissa as often as the
+    # per-node loop does; on the running-sum test equation that is f once
+    # in the predictor from x_k and twice in the solve to x_k, K once in the
+    # row over the history (at x_0) and twice per solve, f_y and K_y once
+    base = SEEDED_PROBLEMS[problem_id]()
+    mesh = make_mesh(0.0, 1.0, 0.01)
+    history = integrate(base, mesh, Method.IMPLICIT).w
+
+    def counts(seeded):
+        calls = {name: [0] * (mesh.n_steps + 1) for name in ("f", "kernel", "f_y", "kernel_y")}
+
+        def counted(name):
+            fn = getattr(base, name)
+
+            def wrapped(x, *rest):
+                calls[name][round(x / mesh.h)] += 1
+                return fn(x, *rest)
+            return wrapped
+
+        seeded(dataclasses.replace(base, **{n: counted(n) for n in calls}), mesh,
+               Method.IMPLICIT, history)
+        return calls
+
+    got = counts(seeded_steps)
+    assert got == counts(seeded_loop)
+    if problem_id == "test-equation":
+        inner = mesh.n_steps - 1
+        assert got["f"] == [1] + [3] * inner + [2]
+        assert got["kernel"][1:] == [2] * mesh.n_steps
+        assert got["f_y"] == got["kernel_y"] == [0] + [1] * mesh.n_steps
+
+
+@pytest.mark.parametrize("failure", sorted(SOLVE_FAILURES))
+@pytest.mark.parametrize("name", ["f", "kernel", "f_y", "kernel_y"])
+def test_seeded_solve_callback_failure_contract(name, failure):
+    # the fixture fails on its first call at x_3 only, so no call may be
+    # made again to find the failing node. In one array pass every
+    # predictor call f(x_i, v_i) comes before the solves, so f first meets
+    # x_3 in the step from node 3; K, f_y and K_y first meet it in the
+    # solve to x_3, as a run does
+    mesh = make_mesh(0.0, 1.0, 0.1)
+    x_bad = mesh.nodes()[3]
+    make, raised_type = SOLVE_FAILURES[failure]
+    problem, seen = failing_in_solve(name, make, x_bad)
+    history = integrate(test_equation(TestEquationParams(lam=-1.0, gamma=-2.0)), mesh,
+                        Method.IMPLICIT).w
+    with pytest.raises(VidestepError) as excinfo:
+        seeded_steps(problem, mesh, Method.IMPLICIT, history)
+    [(args, cause)] = seen
+    assert args[0] == x_bad and type(args[1]) is float
+    assert len(args) == (2 if name in ("f", "f_y") else 3)
+    assert excinfo.value.step_index == (4 if name == "f" else 3)
+    if name == "f":
+        assert args[1] == history[3]
+    if raised_type is SolveRefused:
+        assert excinfo.value is cause
+        return
+    assert type(excinfo.value) is StepEvaluationError
+    if raised_type is None:
+        assert str(excinfo.value) == f"callback returned non-finite value at {args}"
+        assert excinfo.value.__cause__ is None
+    else:
+        assert str(excinfo.value) == f"callback failed at {args}"
+        assert excinfo.value.__cause__ is cause and type(cause) is raised_type
